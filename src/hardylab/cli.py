@@ -18,6 +18,7 @@ seed, so corpora reproduce bit-exactly across platforms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -31,6 +32,7 @@ from .errors import (
     DegenerateInput,
     HardyLabError,
     InsufficientData,
+    NormDiverges,
     NotConverged,
     ParseError,
 )
@@ -221,11 +223,9 @@ def _cmd_norm(args) -> int:
     except NotConverged as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return 2
-    except HardyLabError as exc:
-        if exc.__class__.__name__ == "NormDiverges":
-            _emit({"p": args.p, "diverges": True, "detail": str(exc)})
-            return 0
-        raise
+    except NormDiverges as exc:
+        _emit({"p": args.p, "diverges": True, "detail": str(exc)})
+        return 0
     _emit({"p": args.p, "value": res.value, "err": res.err,
            "converged": res.converged})
     return 0
@@ -343,7 +343,9 @@ def _exponent(text: str) -> float:
     return v
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Averaging-operator norms, sharp inequality checks, "

@@ -126,10 +126,11 @@ def make_piecewise(breakpoints, pieces, require_nonneg: bool = False) -> Piecewi
 
     ``breakpoints`` must increase strictly from 0 to math.inf; ``pieces`` is
     one atom list per interval (atoms may be PowerLogAtom instances, (c, a, k)
-    tuples, or {"c","a","k"} mappings).  With ``require_nonneg`` the function
-    is sampled densely on every piece and NegativityDetected is raised if any
-    sample falls below -TOL_EVAL (scaled); nonnegativity of mixed-sign atom
-    sums is not decidable symbolically, so sampling is the certificate.
+    tuples, or {"c","a","k"} mappings).  With ``require_nonneg`` a piece
+    whose atoms all have c > 0 and an even log power is nonnegative term by
+    term; every other piece is sampled densely and NegativityDetected is
+    raised if any sample falls below -TOL_EVAL (scaled), since nonnegativity
+    of mixed-sign atom sums is not decidable symbolically.
     """
     bps = tuple(float(b) for b in breakpoints)
     if len(bps) < 2 or bps[0] != 0.0 or not math.isinf(bps[-1]):
@@ -169,8 +170,8 @@ def piece_samples(lo: float, hi: float, n: int = _SAMPLES_PER_PIECE) -> np.ndarr
 
 def _certify_nonneg(f: PiecewiseFn, tol: float = TOL_EVAL) -> None:
     for i, atoms in enumerate(f.pieces):
-        if not atoms:
-            continue
+        if all(at.coef > 0.0 and at.log_power % 2 == 0 for at in atoms):
+            continue  # every atom is >= 0 on (0, inf): an exact certificate
         lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
         xs = piece_samples(lo, hi)
         vals = [atoms_value(atoms, x) for x in xs]

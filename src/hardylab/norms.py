@@ -7,18 +7,23 @@ The driver integrates products of powers of atom sums,
 which covers g**p for the norm itself as well as the two alternative
 integral identities (integration by parts, Fubini) used as cross-checks.
 
-Machinery, per piece of the partition:
+Machinery: every piece of the partition contributes regions, and all
+regions share one error budget.
 
-  * compact interior segments use an adaptive Gauss7/Kronrod15 pair; the
-    pair difference is the local error estimate and the global error is the
-    sum of local estimates.
-  * the ends 0 and infinity are handled in log coordinates (t = -ln x and
-    t = ln x) where an endpoint-singular or slowly-decaying integrand turns
-    into a smooth exponentially-decaying one.  The cutoff in t is chosen so
-    the analytic remainder bound of the leading-atom envelope
-    M * exp(-s*t) * t**q, an upper incomplete gamma value, drops below the
-    local budget; half of the bound is added to the value and half to the
-    error, which keeps the result inside [value - err, value + err].
+  * compact interior segments are integrated in x; the ends 0 and infinity
+    in log coordinates (t = -ln x and t = ln x), where an endpoint-singular
+    or slowly-decaying integrand turns into a smooth exponentially-decaying
+    one.  Each end stops at a cutoff in t where the analytic remainder bound
+    of the leading-atom envelope M * exp(-s*t) * t**q, an upper incomplete
+    gamma value, drops below tol / (4 * number of ends), pushed further
+    until the remainder is also tiny next to the end's own mass.  Half of
+    the bound is added to the value and half to the error, which keeps the
+    result inside [value - err, value + err].
+  * the Gauss7/Kronrod15 segments of all regions sit in one heap, as in
+    QUADPACK's qags/qagi; the worst segment is bisected until the summed
+    error of the whole integral, remainders included, meets
+    max(tol, 1e-12 * |value|).  The pair difference is the local error
+    estimate and the global error is the sum of local estimates.
   * divergence is decided up front by the leading-exponent tests: at zero
     a_min * p <= -1 diverges, on the unbounded piece a_max * p >= -1 does.
 
@@ -39,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaincc
 
 from .errors import (
@@ -137,49 +141,47 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return s_k * half, abs(s_k - s_g) * abs(half)
 
 
-def _adaptive(fn, seeds: Sequence[tuple[float, float]], budget: float,
-              max_intervals: int = 4096) -> tuple[float, float, bool]:
-    """Adaptive bisection over the seed segments.
+def _gk15_seeds(fn, seeds: Sequence[tuple[float, float]]) -> list[tuple]:
+    """(a, b, value, err) of every non-empty seed segment."""
+    return [(a, b, *_gk15(fn, a, b)) for a, b in seeds if b > a]
 
-    Splits the worst segment until the summed error estimate meets the budget,
-    the interval cap is reached, or further splitting is below the floating
-    floor.  Returns (value, err, converged); the value is re-summed in
-    left-to-right order so results do not depend on the split schedule.
+
+def _adaptive(regions, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
+              max_intervals: int = 4096) -> tuple[float, float, bool]:
+    """Global adaptive bisection over the segments of all regions.
+
+    ``regions`` lists (fn, segments) pairs with segments as _gk15_seeds
+    returns them; ``fixed`` is a (value, err) part known in closed form, and
+    counts toward the totals the stopping rule tests.  All segments share one
+    heap: the worst is split until the total error meets
+    max(budget, _REL_FLOOR * |value|), the interval cap is reached, or
+    further splitting is below the floating floor.  Returns (value, err,
+    converged); the value is re-summed region by region in spatial order so
+    results do not depend on the split schedule.
     """
-    heap = []
-    count = 0
-    value = err = 0.0
-    for a, b in seeds:
-        if b <= a:
-            continue
-        v, e = _gk15(fn, a, b)
-        heap.append((-e, count, a, b, v))
-        value += v
-        err += e
-        count += 1
+    heap = [(-e, r, a, b, v) for r, (_, segs) in enumerate(regions)
+            for a, b, v, e in segs]
     heapq.heapify(heap)
-    while err > budget and err > _REL_FLOOR * abs(value) and len(heap) < max_intervals:
-        neg_e, _, a, b, v = heapq.heappop(heap)
+    value = fixed[0] + sum(item[4] for item in heap)
+    err = fixed[1] + sum(-item[0] for item in heap)
+    while err > max(budget, _REL_FLOOR * abs(value)) and len(heap) < max_intervals:
+        neg_e, r, a, b, v = heap[0]
         if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
-            # splitting is below double precision resolution
-            heapq.heappush(heap, (neg_e, count, a, b, v))
-            count += 1
-            break
+            break  # splitting is below double precision resolution
+        heapq.heappop(heap)
         value -= v
         err += neg_e
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            vv, ee = _gk15(fn, lo, hi)
-            heapq.heappush(heap, (-ee, count, lo, hi, vv))
+            vv, ee = _gk15(regions[r][0], lo, hi)
+            heapq.heappush(heap, (-ee, r, lo, hi, vv))
             value += vv
             err += ee
-            count += 1
     # re-sum in spatial order: deterministic and free of heap-update drift
-    segments = sorted(heap, key=lambda item: item[2])
-    value = sum(item[4] for item in segments)
-    err = sum(-item[0] for item in segments)
-    converged = err <= budget or err <= _REL_FLOOR * abs(value)
-    return value, err, converged
+    heap.sort(key=lambda item: item[1:3])
+    value = sum(item[4] for item in heap) + fixed[0]
+    err = sum(-item[0] for item in heap) + fixed[1]
+    return value, err, err <= max(budget, _REL_FLOOR * abs(value))
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
@@ -296,13 +298,14 @@ def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
     raise NotConverged("remainder bound does not reach the error budget")
 
 
-def _integrate_log_end(pi, t0, budget, max_intervals, at_zero):
-    """Integrate the (0, e**-t0] or [e**t0, inf) end in log coordinates.
+def _log_end(pi: _ProductIntegrand, t0: float, target: float, at_zero: bool):
+    """The (0, e**-t0] or [e**t0, inf) end in log coordinates.
 
-    A first pass runs to the cutoff dictated by the absolute budget; the
-    cutoff is then pushed further until the analytic remainder is also small
-    relative to the mass actually found, so tiny integrals (extremal families
-    at small eps) are not polluted by an absolute-scale remainder term.
+    Returns the end's region (fn, segments) and the analytic remainder past
+    its cutoff.  The cutoff first meets ``target``; it is then pushed until
+    the remainder is also small next to the seeds' value, so tiny integrals
+    (extremal families at small eps) are not polluted by an absolute-scale
+    remainder term.
     """
     log_m, s, q = _envelope(pi, at_zero)
     if s <= 0.0:
@@ -310,91 +313,55 @@ def _integrate_log_end(pi, t0, budget, max_intervals, at_zero):
         raise NormDiverges(f"integral diverges at {where}")
     sign = -1.0 if at_zero else 1.0
     fn = lambda t: _pi_eval(pi, sign * t, sign * t)
-    t_cut = _choose_cutoff(log_m, s, q, t0, 0.5 * budget)
-    value = err = 0.0
-    ok = True
-    if t_cut > t0:
-        value, err, ok = _adaptive(fn, _doubling_seeds(t0, t_cut),
-                                   0.5 * budget, max_intervals)
+    t_cut = _choose_cutoff(log_m, s, q, t0, target)
+    segs = _gk15_seeds(fn, _doubling_seeds(t0, t_cut))
     rem = math.exp(min(_log_gamma_tail(log_m, s, q, t_cut), _LN_HUGE))
     for _ in range(6):
-        goal = max(0.1 * _REL_FLOOR * (abs(value) + rem), 1e-320)
+        goal = max(0.1 * _REL_FLOOR * (abs(sum(seg[2] for seg in segs)) + rem), 1e-320)
         if rem <= goal:
             break
         t_new = _choose_cutoff(log_m, s, q, t_cut, goal)
         if t_new <= t_cut:
             break
-        v, e, o = _adaptive(fn, _doubling_seeds(t_cut, t_new),
-                            max(0.5 * rem, 1e-320), max_intervals)
-        value += v
-        err += e
-        ok = ok and o
+        segs += _gk15_seeds(fn, _doubling_seeds(t_cut, t_new))
         t_cut = t_new
         rem = math.exp(min(_log_gamma_tail(log_m, s, q, t_cut), _LN_HUGE))
-    return value + 0.5 * rem, err + 0.5 * rem, ok
+    return (fn, segs), rem
 
 
-def _integrate_piece(pi: _ProductIntegrand, lo: float, hi: float,
-                     budget: float, max_intervals: int = 4096):
-    """Integrate the product integrand over (lo, hi); returns (value, err, ok)."""
-    if any(not atoms for atoms, _ in pi.factors):
-        return 0.0, 0.0, True
-    if lo == 0.0 and math.isinf(hi):
-        v1, e1, ok1 = _integrate_piece(pi, 0.0, 1.0, 0.5 * budget, max_intervals)
-        v2, e2, ok2 = _integrate_piece(pi, 1.0, math.inf, 0.5 * budget, max_intervals)
-        return v1 + v2, e1 + e2, ok1 and ok2
+def _integrate(tasks, tol: float) -> tuple[float, float]:
+    """Integral of the product integrands over their pieces, in one heap.
 
-    value = err = 0.0
-    ok = True
-    if lo == 0.0:
-        x0 = min(hi, 1.0 / _E)
-        share = 0.5 if x0 < hi else 1.0
-        v, e, o = _integrate_log_end(pi, -math.log(x0), share * budget,
-                                     max_intervals, at_zero=True)
-        value += v
-        err += e
-        ok = ok and o
-        lo = x0
-        budget *= share
-    x1 = hi
-    tail_budget = 0.0
-    if math.isinf(hi):
-        x1 = max(lo, _E)
-        tail_budget = 0.5 * budget if lo < x1 else budget
-    if lo < x1:
-        fn = lambda x: _pi_eval(pi, math.log(x), 0.0)
-        v, e, o = _adaptive(fn, _geom_seeds(lo, x1), budget - tail_budget,
-                            max_intervals)
-        value += v
-        err += e
-        ok = ok and o
-    if math.isinf(hi):
-        v, e, o = _integrate_log_end(pi, math.log(x1), tail_budget,
-                                     max_intervals, at_zero=False)
-        value += v
-        err += e
-        ok = ok and o
-    return value, err, ok
-
-
-def _integrate_tasks(tasks, tol: float) -> tuple[float, float]:
-    """Sum piece integrals, allocating the remaining budget evenly."""
-    total_v = total_e = 0.0
-    ok_all = True
-    n = len(tasks)
-    for idx, (pi, lo, hi) in enumerate(tasks):
-        room = max(tol - total_e, tol * 1e-3)
-        v, e, ok = _integrate_piece(pi, lo, hi, room / max(n - idx, 1))
-        total_v += v
-        total_e += e
-        ok_all = ok_all and ok
-    total_e += 1e-16 * abs(total_v)
-    if not ok_all and total_e > max(tol, _REL_FLOOR * abs(total_v)):
+    Each (pi, lo, hi) task contributes its zero end, its interior in x and
+    its infinity end; err meets max(tol, _REL_FLOOR * |value|) for the whole
+    sum, or NotConverged is raised with the partial result.
+    """
+    n_ends = sum((lo == 0.0) + math.isinf(hi) for _, lo, hi in tasks)
+    target = tol / (4.0 * max(n_ends, 1))
+    regions = []
+    rem = 0.0
+    for pi, lo, hi in tasks:
+        if lo == 0.0:
+            lo = min(hi, 1.0 / _E)
+            region, r = _log_end(pi, -math.log(lo), target, at_zero=True)
+            regions.append(region)
+            rem += r
+        x1 = max(lo, _E) if math.isinf(hi) else hi
+        if lo < x1:
+            fn = lambda x, pi=pi: _pi_eval(pi, math.log(x), 0.0)
+            regions.append((fn, _gk15_seeds(fn, _geom_seeds(lo, x1))))
+        if math.isinf(hi):
+            region, r = _log_end(pi, math.log(x1), target, at_zero=False)
+            regions.append(region)
+            rem += r
+    value, err, ok = _adaptive(regions, tol, (0.5 * rem, 0.5 * rem))
+    err += 1e-16 * abs(value)
+    if not ok and err > max(tol, _REL_FLOOR * abs(value)):
         raise NotConverged(
-            f"error budget {tol} not met (reached {total_e})",
-            partial=QuadResult(total_v, total_e, False),
+            f"error budget {tol} not met (reached {err})",
+            partial=QuadResult(value, err, False),
         )
-    return total_v, total_e
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +409,9 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
 
     ``g`` must be nonnegative (use the operators' certified outputs or
     ``make_piecewise(require_nonneg=True)``); ``tol`` is an absolute budget
-    on the p-th power of the norm, with a 1e-12 relative floor for values
-    too large for double precision to do better.
+    on the whole integral of g**p, with a 1e-12 relative floor for values
+    too large for double precision to do better.  The returned err bounds
+    the norm itself.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
@@ -455,7 +423,7 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     ]
     if not tasks:
         return QuadResult(0.0, 0.0, True)
-    vp, ep = _integrate_tasks(tasks, tol)
+    vp, ep = _integrate(tasks, tol)
     return _norm_from_power(vp, ep, p)
 
 
@@ -480,7 +448,7 @@ def ip_via_parts(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResu
             tasks.append((pi, f.breakpoints[i], f.breakpoints[i + 1]))
     if not tasks:
         return QuadResult(0.0, 0.0, True)
-    v, e = _integrate_tasks(tasks, tol)
+    v, e = _integrate(tasks, tol)
     return QuadResult(v, e, True)
 
 
@@ -503,7 +471,7 @@ def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> Qua
             tasks.append((pi, f.breakpoints[i], f.breakpoints[i + 1]))
     if not tasks:
         return QuadResult(0.0, 0.0, True)
-    v, e = _integrate_tasks(tasks, tol)
+    v, e = _integrate(tasks, tol)
     return QuadResult(v, e, True)
 
 
@@ -512,7 +480,8 @@ def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> Qua
 
 
 def _plain_quad(fn, a, b, budget):
-    v, e, _ = _adaptive(fn, _geom_seeds(a, b) if a > 0 else [(a, b)], budget)
+    seeds = _geom_seeds(a, b) if a > 0 else [(a, b)]
+    v, e, _ = _adaptive([(fn, _gk15_seeds(fn, seeds))], budget)
     return v, e
 
 
@@ -598,6 +567,8 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
         v, _ = _quad_with_singularities(f.evaluator, g[i - 1], g[i],
                                         f.singular_points, 1e-12)
         cum[i] = cum[i - 1] + v
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(g, cum)
     g0, g_last = float(g[0]), float(g[-1])
     cum0, cum_last = float(cum[0]), float(cum[-1])
@@ -648,6 +619,8 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
         v, _ = _quad_with_singularities(over_t, g[i], g[i + 1],
                                         f.singular_points, 1e-12)
         vals[i] = vals[i + 1] + v
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(g, vals)
     g0 = float(g[0])
     s0, s_last = float(vals[0]), float(vals[-1])

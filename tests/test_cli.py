@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -178,3 +181,20 @@ class TestRun:
         monkeypatch.setenv("HARDYLAB_THREADS", "4")
         _, par, _ = capture(argv)
         assert seq == par
+
+    def test_parser_reused_after_failed_parse(self):
+        argv = ["norm", "-f", "chi(0,1)", "-p", "2"]
+        alone = capture(argv)[:2]
+        assert capture(["norm", "-p", "0.5"])[0] == 3
+        assert capture(argv)[:2] == alone
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    import hardylab
+
+    src = os.path.dirname(os.path.dirname(hardylab.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hardylab; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -108,6 +108,25 @@ class TestMakePiecewise:
         f = make_piecewise([0, 1, INF], [[(-1, 0, 1)], []], require_nonneg=True)
         assert f.nonneg
 
+    @pytest.mark.parametrize("piece", [
+        [(1, 0, 0), (-2, 1, 0)],  # 1 - 2x < 0 past x = 1/2
+        [(1, 0, 1)],              # ln x < 0 on (0, 1): odd log power
+    ])
+    def test_sampled_pieces_still_refused(self, piece):
+        with pytest.raises(NegativityDetected):
+            make_piecewise([0, 1, INF], [piece, []], require_nonneg=True)
+
+    def test_positive_atoms_certified_without_sampling(self, monkeypatch):
+        import hardylab.funcmodel as funcmodel
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("piece was sampled")
+
+        monkeypatch.setattr(funcmodel, "piece_samples", no_sampling)
+        f = make_piecewise([0, 1, INF], [[(2, 0.5, 0), (1, -1, 2)], [(3, -2, 0)]],
+                           require_nonneg=True)
+        assert f.nonneg
+
     def test_step_family_member(self):
         eps = 0.25
         f = make_piecewise([0, 1, 1 + eps, INF], [[], [(1, 0, 0)], []])

@@ -200,3 +200,107 @@ class TestNumericOracles:
                         tail_exponent_hint=-1.0, zero_exponent_hint=0.0)
         res = lp_norm_callable(fc, 2.0)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-7)
+
+
+# Four steps of height 4, 16 in all, at these cuts.  At p = 5 nearly all of
+# the mollified form's integral sits in its first pieces: a budget handed out
+# piece by piece leaves the later pieces a sliver below their own rounding,
+# and they bisect to the segment cap.
+TALL_STEP_CUTS = (1.07, 2.96, 3.91, 5.05)
+
+# A function whose third piece has exponent -1.6e-5: dual_hardy's coefficients
+# c/a cancel there, and the norm of H*f sees rounding noise that no bisection
+# removes.
+NEAR_ZERO = make_piecewise(
+    [0.0, 1.0848808964726149, 2.920722011236898, 6.936883245258844,
+     8.607748507070518, 8.77893786532005, 9.60463563696397, INF],
+    [[(4.587792705574817, 0.3513134363446717, 0)],
+     [(9.284615670221957, -0.5573566790548257, 0)],
+     [(5.193122103763166, -1.613012701939809e-05, 0)],
+     [(1.5511255543408338, 1.9167488653111882, 0)],
+     [(6.976391831040957, -0.6732175861390757, 0)],
+     [(1.3510050123940525, -0.7678914597119523, 0)],
+     [(0.20624677942497827, -2.5160999499530345, 0)]],
+    require_nonneg=True,
+)
+
+
+def _mollified_steps_power_integral(cuts, height, n, p):
+    """Closed form of the integral of phi_n**p for phi = sum height*chi(0, b].
+
+    phi_n(x) = n * integral of phi over [x, x + 1/n] is piecewise linear:
+    each step ramps down linearly over [b - 1/n, b].
+    """
+    h = 1.0 / n
+    phi_n = lambda x: sum(height * min(max((b - x) / h, 0.0), 1.0) for b in cuts)
+    edges = sorted({0.0, *cuts, *(b - h for b in cuts)})
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        u, v = phi_n(lo), phi_n(hi)
+        if u == v:
+            total += (hi - lo) * u ** p
+        else:
+            total += (hi - lo) * (u ** (p + 1) - v ** (p + 1)) / ((p + 1) * (u - v))
+    return total
+
+
+class TestGlobalBudget:
+    def test_tall_steps_work_and_value(self, gk15_calls):
+        from hardylab.duality import mollify
+
+        phi = make_piecewise([0.0, *TALL_STEP_CUTS, INF],
+                             [[(4.0 * (4 - i), 0, 0)] for i in range(4)] + [[]],
+                             require_nonneg=True)
+        phi_n = mollify(phi, 1024)
+        start = gk15_calls()
+        res = lp_norm(phi_n, 5.0, 1e-10)
+        assert gk15_calls() - start <= 200
+        want = _mollified_steps_power_integral(TALL_STEP_CUTS, 4.0, 1024, 5.0) ** 0.2
+        assert abs(res.value - want) <= res.err
+
+    def test_near_zero_exponent_dual_work(self, gk15_calls):
+        hs = dual_hardy(NEAR_ZERO)
+        start = gk15_calls()
+        lp_norm(hs, 2.0)
+        assert gk15_calls() - start <= 200
+
+    def test_near_zero_exponent_never_violated(self):
+        from hardylab.verify import Verdict, verify_theorem1
+
+        # ||Hf||_2 = ||H*f||_2 for every f: any Violated verdict is false
+        rep = verify_theorem1(NEAR_ZERO, 2.0)
+        assert Verdict.VIOLATED not in (rep.verdict_lower, rep.verdict_upper)
+
+    # integral of (H*f)**p by Fubini over the support of f, which is one
+    # region of each kind: (1, 2] is interior only, (0, 0.2] lies inside the
+    # zero end, (3, inf) inside the infinity end.
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    @pytest.mark.parametrize("p", [2.0, 3.5])
+    def test_contract_interior(self, p, tol):
+        from scipy.special import gamma, gammainc
+
+        f = make_piecewise([0, 1, 2, INF], [[], [(1, 0, 0)], []], require_nonneg=True)
+        res = ipstar_via_fubini(f, p, tol)
+        # H*f = ln 2 on (0, 1], ln(2/x) on (1, 2]
+        want = math.log(2.0) ** p + 2.0 * gamma(p + 1.0) * gammainc(p + 1.0, math.log(2.0))
+        assert res.err <= max(tol, 1e-12 * res.value)
+        assert abs(res.value - want) <= res.err + 1e-15 * want
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    @pytest.mark.parametrize("p", [2.0, 3.5])
+    def test_contract_zero_end(self, p, tol):
+        f = make_piecewise([0, 0.2, INF], [[(1, 0, 0)], []], require_nonneg=True)
+        res = ipstar_via_fubini(f, p, tol)
+        want = 0.2 * math.gamma(p + 1.0)  # H*f = ln(0.2/x) on (0, 0.2]
+        assert res.err <= max(tol, 1e-12 * res.value)
+        assert abs(res.value - want) <= res.err + 1e-15 * want
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-30])
+    @pytest.mark.parametrize("p", [2.0, 3.5])
+    def test_contract_infinity_end(self, p, tol):
+        f = make_piecewise([0, 3, INF], [[], [(5, -2, 0)]], require_nonneg=True)
+        res = ipstar_via_fubini(f, p, tol)
+        # H*f = 5/18 on (0, 3], 5/(2 x**2) beyond
+        want = 3.0 * (5.0 / 18.0) ** p + 2.5 ** p * 3.0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
+        assert res.err <= max(tol, 1e-12 * res.value)
+        assert abs(res.value - want) <= res.err + 1e-15 * want
