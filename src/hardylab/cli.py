@@ -50,6 +50,10 @@ from .operators import dual_hardy, hardy, hardy_minus_identity
 from .verify import (
     P_GRID,
     Verdict,
+    _norm_pair,
+    _report,
+    crude_constants,
+    sharp_constants,
     verify_crude,
     verify_theorem1,
     verify_theorem2,
@@ -299,8 +303,9 @@ def _cmd_fuzz(args) -> int:
             if args.monotone:
                 reports = [verify_theorem2(f, p, args.tol)]
             else:
-                reports = [verify_theorem1(f, p, args.tol),
-                           verify_crude(f, p, args.tol)]
+                pair = _norm_pair(f, p, args.tol)
+                reports = [_report(*pair, sharp_constants(p)),
+                           _report(*pair, crude_constants(p))]
             for rep in reports:
                 case_verdicts.append((seed, p, rep.verdict_lower))
                 case_verdicts.append((seed, p, rep.verdict_upper))

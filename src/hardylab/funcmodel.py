@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,15 +85,22 @@ def as_atom(obj) -> PowerLogAtom:
 
 
 def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:
-    """Merge atoms sharing (exponent, log_power); drop negligible coefficients."""
-    acc: dict[tuple[float, int], float] = {}
+    """Merge atoms sharing (exponent, log_power); drop negligible coefficients.
+
+    A merged coefficient within n * eps of the sum of the n magnitudes it
+    was summed from is the rounding residue of terms that cancel, and is
+    dropped like one below COEF_FLOOR.
+    """
+    acc: dict[tuple[float, int], list] = {}
     for at in atoms:
-        key = (at.exponent, at.log_power)
-        acc[key] = acc.get(key, 0.0) + at.coef
+        entry = acc.setdefault((at.exponent, at.log_power), [0.0, 0.0, 0])
+        entry[0] += at.coef
+        entry[1] += abs(at.coef)
+        entry[2] += 1
     return tuple(
         PowerLogAtom(c, a, k)
-        for (a, k), c in sorted(acc.items())
-        if abs(c) >= COEF_FLOOR
+        for (a, k), (c, mag, n) in sorted(acc.items())
+        if abs(c) >= COEF_FLOOR and abs(c) > n * sys.float_info.epsilon * mag
     )
 
 

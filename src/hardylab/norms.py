@@ -19,9 +19,12 @@ regions share one error budget.
     until the remainder is also tiny next to the end's own mass.  Half of
     the bound is added to the value and half to the error, which keeps the
     result inside [value - err, value + err].
-  * the Gauss7/Kronrod15 segments of all regions sit in one heap, as in
-    QUADPACK's qags/qagi; the worst segment is bisected until the summed
-    error of the whole integral, remainders included, meets
+  * the integrands are compiled once into numpy arrays, and every
+    evaluation is one call over a batch of Gauss7/Kronrod15 segments of any
+    regions: the seeds of all regions, each cutoff push, and each round of
+    the adaptive loop.  The segments sit in one heap, as in QUADPACK's
+    qags/qagi; a round bisects the worst segments, as many as the summed
+    error of the whole integral, remainders included, needs to meet
     max(tol, 1e-12 * |value|).  The pair difference is the local error
     estimate and the global error is the sum of local estimates.
   * divergence is decided up front by the leading-exponent tests: at zero
@@ -41,7 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincc
@@ -126,61 +129,69 @@ _GK15 = (
 )
 
 
-def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 value and |K15 - G7| error estimate on [a, b]."""
+_XI, _WG, _WK = (np.array(col) for col in zip(*_GK15))
+
+
+def _gk15(fn, reg, a, b):
+    """Kronrod-15 values and |K15 - G7| error estimates of n segments, given
+    as arrays of region ids and ends; all n * 15 nodes go to one fn call."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    s_g = 0.0
-    s_k = 0.0
-    for xi, wg, wk in _GK15:
-        fv = fn(mid + half * xi)
-        if not math.isfinite(fv):
-            raise NotConverged(f"non-finite integrand value near x={mid + half * xi}")
-        s_g += wg * fv
-        s_k += wk * fv
-    return s_k * half, abs(s_k - s_g) * abs(half)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XI
+    fv = fn(reg, nodes)
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        raise NotConverged(f"non-finite integrand value near x={nodes[bad][0]}")
+    s_k = fv @ _WK
+    return s_k * half, np.abs(s_k - fv @ _WG) * np.abs(half)
 
 
-def _gk15_seeds(fn, seeds: Sequence[tuple[float, float]]) -> list[tuple]:
-    """(a, b, value, err) of every non-empty seed segment."""
-    return [(a, b, *_gk15(fn, a, b)) for a, b in seeds if b > a]
+def _gk15_seeds(fn, seeds) -> list[tuple]:
+    """(-err, region, a, b, value) of every non-empty (region, a, b) seed."""
+    seeds = [seed for seed in seeds if seed[2] > seed[1]]
+    if not seeds:
+        return []
+    reg, a, b = (np.array(col) for col in zip(*seeds))
+    v, e = _gk15(fn, reg, a, b)
+    return list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist()))
 
 
-def _adaptive(regions, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
+def _adaptive(fn, segs, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
               max_intervals: int = 4096) -> tuple[float, float, bool]:
     """Global adaptive bisection over the segments of all regions.
 
-    ``regions`` lists (fn, segments) pairs with segments as _gk15_seeds
-    returns them; ``fixed`` is a (value, err) part known in closed form, and
-    counts toward the totals the stopping rule tests.  All segments share one
-    heap: the worst is split until the total error meets
-    max(budget, _REL_FLOOR * |value|), the interval cap is reached, or
-    further splitting is below the floating floor.  Returns (value, err,
-    converged); the value is re-summed region by region in spatial order so
-    results do not depend on the split schedule.
+    ``segs`` come from _gk15_seeds; ``fixed`` is a (value, err) part known
+    in closed form that counts toward the totals.  Each round pops the worst
+    segments until the error left meets max(budget, _REL_FLOOR * |value|)
+    and bisects them in one batch, until the interval cap or the floating
+    floor.  Returns (value, err, converged), re-summed in spatial order so
+    results do not depend on the schedule.
     """
-    heap = [(-e, r, a, b, v) for r, (_, segs) in enumerate(regions)
-            for a, b, v, e in segs]
+    heap = list(segs)
     heapq.heapify(heap)
     value = fixed[0] + sum(item[4] for item in heap)
-    err = fixed[1] + sum(-item[0] for item in heap)
-    while err > max(budget, _REL_FLOOR * abs(value)) and len(heap) < max_intervals:
-        neg_e, r, a, b, v = heap[0]
-        if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
-            break  # splitting is below double precision resolution
-        heapq.heappop(heap)
-        value -= v
-        err += neg_e
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            vv, ee = _gk15(regions[r][0], lo, hi)
-            heapq.heappush(heap, (-ee, r, lo, hi, vv))
-            value += vv
-            err += ee
+    err = fixed[1] - sum(item[0] for item in heap)
+    while True:
+        goal = max(budget, _REL_FLOOR * abs(value))
+        popped = []
+        while err > goal and len(heap) + 2 * len(popped) < max_intervals:
+            neg_e, _, a, b, _ = heap[0]
+            if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
+                break  # splitting is below double precision resolution
+            popped.append(heapq.heappop(heap))
+            err += neg_e
+        if not popped:
+            break
+        value -= sum(item[4] for item in popped)
+        children = [half for _, r, a, b, _ in popped
+                    for half in ((r, a, 0.5 * (a + b)), (r, 0.5 * (a + b), b))]
+        for item in _gk15_seeds(fn, children):
+            heapq.heappush(heap, item)
+            value += item[4]
+            err -= item[0]
     # re-sum in spatial order: deterministic and free of heap-update drift
     heap.sort(key=lambda item: item[1:3])
     value = sum(item[4] for item in heap) + fixed[0]
-    err = sum(-item[0] for item in heap) + fixed[1]
+    err = fixed[1] - sum(item[0] for item in heap)
     return value, err, err <= max(budget, _REL_FLOOR * abs(value))
 
 
@@ -219,44 +230,61 @@ class _ProductIntegrand:
     factors: tuple[tuple[tuple[PowerLogAtom, ...], float], ...]
 
 
-def _pi_eval(pi: _ProductIntegrand, lx: float, extra: float) -> float:
-    """Integrand at x = exp(lx), times exp(extra), computed via logs.
+def _compile(pis):
+    """One evaluator fn(region, nodes) for a list of product integrands.
 
-    Factors are expected to be nonnegative; a sum that rounds to <= 0 is
-    treated as exactly 0.  Returns 0 on underflow and +inf past overflow so
-    the quadrature can reject the segment.
+    Region 3*i + kind is integrand i's zero end in t = -ln x (kind 0), its
+    interior in x (kind 1) or its infinity end in t = ln x (kind 2), the
+    ends with the Jacobian exp(-+t).  Per region, atoms are padded into
+    arrays of log|c|, exponent, sign, sign at x < 1 and log power; values
+    are |atom sum|**power in log space, shifted by the largest atom, with
+    log atoms dropped at x = 1, 0 on underflow and +inf past overflow.
     """
-    log_h = math.log(pi.const) + pi.x_power * lx + extra
-    for atoms, power in pi.factors:
-        best = -math.inf
-        mags = []
-        signs = []
-        for at in atoms:
-            if at.log_power and lx == 0.0:
-                continue
-            m = math.log(abs(at.coef)) + at.exponent * lx
-            if at.log_power:
-                m += at.log_power * math.log(abs(lx))
-            sign = 1.0 if at.coef > 0 else -1.0
-            if lx < 0.0 and at.log_power % 2:
-                sign = -sign
-            mags.append(m)
-            signs.append(sign)
-            if m > best:
-                best = m
-        if best == -math.inf:
-            return 0.0
-        s = 0.0
-        for m, sign in zip(mags, signs):
-            s += sign * math.exp(m - best)
-        if s <= 0.0:
-            return 0.0
-        log_h += power * (best + math.log(s))
-    if log_h >= _LN_HUGE:
-        return math.inf
-    if log_h <= -745.0:
-        return 0.0
-    return math.exp(log_h)
+    n_f = max(len(pi.factors) for pi in pis)
+    n_a = max(len(atoms) for pi in pis for atoms, _ in pi.factors)
+    tab = np.zeros((len(pis), 5, n_f, n_a))
+    tab[:, 0, :, 1:] = -np.inf  # padding atoms; a padded factor is 1**0
+    tab[:, 2:4] = 1.0
+    cols = np.zeros((len(pis), 4 + n_f))  # interior?, t sign, ln const, x power, powers
+    for i, pi in enumerate(pis):
+        cols[i, 2:4] = math.log(pi.const), pi.x_power
+        for j, (atoms, q) in enumerate(pi.factors):
+            cols[i, 4 + j] = q
+            for k, at in enumerate(atoms):
+                sg = math.copysign(1.0, at.coef)
+                tab[i, :, j, k] = (math.log(abs(at.coef)), at.exponent, sg,
+                                   -sg if at.log_power % 2 else sg, at.log_power)
+    has_logs = tab[:, 4].any()
+    tab, cols = np.repeat(tab, 3, axis=0), np.repeat(cols, 3, axis=0)
+    kind = np.arange(len(cols)) % 3
+    cols[:, 0], cols[:, 1] = kind == 1, kind - 1
+    cols[:, 3] += kind != 1
+
+    def fn(reg, nodes):
+        c = cols[reg].T[:, :, None]
+        ln_c, expo, sign, sign_neg, logp = tab[reg].transpose(1, 0, 2, 3)[:, :, None]
+        with np.errstate(all="ignore"):
+            lx = np.where(c[0] > 0.0, np.log(nodes), c[1] * nodes)
+            log_h = c[2] + c[3] * lx
+            lx4 = lx[:, :, None, None]
+            m = ln_c + expo * lx4
+            if has_logs:
+                m = m + logp * np.maximum(np.log(np.abs(lx4)), -1e300)
+                sign = np.where(lx4 < 0.0, sign_neg, sign)
+            if n_a == 1:
+                flog = m[..., 0]
+            else:
+                best = m.max(axis=-1)
+                s = (sign * np.exp(m - best[..., None])).sum(axis=-1)
+                flog = best + np.log(np.abs(s))
+            for j in range(n_f):
+                log_h = log_h + c[4 + j] * flog[..., j]
+            log_h[log_h <= -745.0] = -np.inf
+            out = np.exp(log_h)
+        out[log_h >= _LN_HUGE] = np.inf
+        return out
+
+    return fn
 
 
 def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float]:
@@ -298,63 +326,62 @@ def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
     raise NotConverged("remainder bound does not reach the error budget")
 
 
-def _log_end(pi: _ProductIntegrand, t0: float, target: float, at_zero: bool):
-    """The (0, e**-t0] or [e**t0, inf) end in log coordinates.
+def _log_end(pi: _ProductIntegrand, reg: int, t0: float, at_zero: bool) -> list:
+    """Region ``reg``: the (0, e**-t0] or [e**t0, inf) end in log coordinates.
 
-    Returns the end's region (fn, segments) and the analytic remainder past
-    its cutoff.  The cutoff first meets ``target``; it is then pushed until
-    the remainder is also small next to the seeds' value, so tiny integrals
-    (extremal families at small eps) are not polluted by an absolute-scale
-    remainder term.
+    Returns [reg, envelope, cutoff, remainder]; _integrate moves the cutoff
+    from t0.
     """
-    log_m, s, q = _envelope(pi, at_zero)
-    if s <= 0.0:
+    env = _envelope(pi, at_zero)
+    if env[1] <= 0.0:
         where = "zero" if at_zero else "infinity"
         raise NormDiverges(f"integral diverges at {where}")
-    sign = -1.0 if at_zero else 1.0
-    fn = lambda t: _pi_eval(pi, sign * t, sign * t)
-    t_cut = _choose_cutoff(log_m, s, q, t0, target)
-    segs = _gk15_seeds(fn, _doubling_seeds(t0, t_cut))
-    rem = math.exp(min(_log_gamma_tail(log_m, s, q, t_cut), _LN_HUGE))
-    for _ in range(6):
-        goal = max(0.1 * _REL_FLOOR * (abs(sum(seg[2] for seg in segs)) + rem), 1e-320)
-        if rem <= goal:
-            break
-        t_new = _choose_cutoff(log_m, s, q, t_cut, goal)
-        if t_new <= t_cut:
-            break
-        segs += _gk15_seeds(fn, _doubling_seeds(t_cut, t_new))
-        t_cut = t_new
-        rem = math.exp(min(_log_gamma_tail(log_m, s, q, t_cut), _LN_HUGE))
-    return (fn, segs), rem
+    return [reg, env, t0, math.inf]
 
 
 def _integrate(tasks, tol: float) -> tuple[float, float]:
     """Integral of the product integrands over their pieces, in one heap.
 
-    Each (pi, lo, hi) task contributes its zero end, its interior in x and
-    its infinity end; err meets max(tol, _REL_FLOOR * |value|) for the whole
-    sum, or NotConverged is raised with the partial result.
+    Task i = (pi, lo, hi) contributes its zero end, its interior in x and
+    its infinity end as regions 3i, 3i + 1 and 3i + 2; err meets
+    max(tol, _REL_FLOOR * |value|) for the whole sum, or NotConverged is
+    raised with the partial result.
     """
     n_ends = sum((lo == 0.0) + math.isinf(hi) for _, lo, hi in tasks)
     target = tol / (4.0 * max(n_ends, 1))
-    regions = []
-    rem = 0.0
-    for pi, lo, hi in tasks:
+    ends, seeds, segs = [], [], []
+    for i, (pi, lo, hi) in enumerate(tasks):
         if lo == 0.0:
             lo = min(hi, 1.0 / _E)
-            region, r = _log_end(pi, -math.log(lo), target, at_zero=True)
-            regions.append(region)
-            rem += r
+            ends.append(_log_end(pi, 3 * i, -math.log(lo), at_zero=True))
         x1 = max(lo, _E) if math.isinf(hi) else hi
         if lo < x1:
-            fn = lambda x, pi=pi: _pi_eval(pi, math.log(x), 0.0)
-            regions.append((fn, _gk15_seeds(fn, _geom_seeds(lo, x1))))
+            seeds += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
         if math.isinf(hi):
-            region, r = _log_end(pi, math.log(x1), target, at_zero=False)
-            regions.append(region)
-            rem += r
-    value, err, ok = _adaptive(regions, tol, (0.5 * rem, 0.5 * rem))
+            ends.append(_log_end(pi, 3 * i + 2, math.log(x1), at_zero=False))
+    fn = _compile([pi for pi, _, _ in tasks])
+    for push in range(7):
+        # cut each end where its remainder meets target, then push the cutoff
+        # until the remainder is also small next to the end's value, so tiny
+        # integrals (extremal families at small eps) are not polluted by an
+        # absolute-scale remainder term; each pass evaluates its seeds at once
+        mass = {}
+        for item in segs:
+            mass[item[1]] = mass.get(item[1], 0.0) + item[4]
+        for end in ends:
+            reg, env, t_cut, rem = end
+            goal = max(0.1 * _REL_FLOOR * (abs(mass.get(reg, 0.0)) + rem), 1e-320)
+            goal = goal if push else target
+            t_new = _choose_cutoff(*env, t_cut, goal) if rem > goal else t_cut
+            if t_new > t_cut or not push:
+                seeds += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
+                end[2:] = t_new, math.exp(min(_log_gamma_tail(*env, t_new), _LN_HUGE))
+        if not seeds:
+            break
+        segs += _gk15_seeds(fn, seeds)
+        seeds = []
+    rem = sum(end[3] for end in ends)
+    value, err, ok = _adaptive(fn, segs, tol, (0.5 * rem, 0.5 * rem))
     err += 1e-16 * abs(value)
     if not ok and err > max(tol, _REL_FLOOR * abs(value)):
         raise NotConverged(
@@ -405,13 +432,12 @@ def _norm_from_power(vp: float, ep: float, p: float) -> QuadResult:
 
 
 def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
-    """(integral of g**p over (0, inf))**(1/p) with an error bound.
+    """(integral of |g|**p over (0, inf))**(1/p) with an error bound.
 
-    ``g`` must be nonnegative (use the operators' certified outputs or
-    ``make_piecewise(require_nonneg=True)``); ``tol`` is an absolute budget
-    on the whole integral of g**p, with a 1e-12 relative floor for values
-    too large for double precision to do better.  The returned err bounds
-    the norm itself.
+    ``g`` may take either sign; ``tol`` is an absolute budget on the whole
+    integral of |g|**p, with a 1e-12 relative floor for values too large
+    for double precision to do better.  The returned err bounds the norm
+    itself.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
@@ -481,7 +507,9 @@ def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> Qua
 
 def _plain_quad(fn, a, b, budget):
     seeds = _geom_seeds(a, b) if a > 0 else [(a, b)]
-    v, e, _ = _adaptive([(fn, _gk15_seeds(fn, seeds))], budget)
+    batched = lambda reg, x: np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+    segs = _gk15_seeds(batched, [(0, lo, hi) for lo, hi in seeds])
+    v, e, _ = _adaptive(batched, segs, budget)
     return v, e
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BadExponent, DegenerateInput, NotMonotone
-from .funcmodel import PiecewiseFn, is_nonincreasing
+from .funcmodel import PiecewiseFn, _certify_nonneg, is_nonincreasing
 from .norms import DEFAULT_TOL, QuadResult, lp_norm
 from .operators import dual_hardy, hardy, hardy_minus_identity
 
@@ -145,15 +145,30 @@ def _report(num: QuadResult, den: QuadResult, bounds: Constants) -> Verification
     )
 
 
-def verify_theorem1(f: PiecewiseFn, p: float,
-                    tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Check the sharp two-sided bounds on ||H*f||_p / ||Hf||_p."""
-    bounds = sharp_constants(p)
+def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadResult]:
+    """(||H*f||_p, ||Hf||_p), the numerator and denominator of both verdicts.
+
+    An f whose ``nonneg`` flag is unset is certified first, so a signed
+    input raises NegativityDetected instead of getting a verdict; an a.e.
+    zero f raises DegenerateInput.
+    """
+    if not f.nonneg:
+        _certify_nonneg(f)
     den = lp_norm(hardy(f), p, tol)
     if den.value < DEGENERATE_NORM:
         raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
-    num = lp_norm(dual_hardy(f), p, tol)
-    return _report(num, den, bounds)
+    return lp_norm(dual_hardy(f), p, tol), den
+
+
+def verify_theorem1(f: PiecewiseFn, p: float,
+                    tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Check the sharp two-sided bounds on ||H*f||_p / ||Hf||_p.
+
+    An f not flagged nonnegative is certified first; a signed f raises
+    NegativityDetected.
+    """
+    bounds = sharp_constants(p)
+    return _report(*_norm_pair(f, p, tol), bounds)
 
 
 def verify_crude(f: PiecewiseFn, p: float,
@@ -161,14 +176,10 @@ def verify_crude(f: PiecewiseFn, p: float,
     """Check the classical bounds 1/p' <= ||H*f||_p / ||Hf||_p <= p.
 
     Strictly wider than the sharp pair for p != 2, so a sharp Holds implies
-    a crude Holds.
+    a crude Holds.  Signed input is refused as in verify_theorem1.
     """
     bounds = crude_constants(p)
-    den = lp_norm(hardy(f), p, tol)
-    if den.value < DEGENERATE_NORM:
-        raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
-    num = lp_norm(dual_hardy(f), p, tol)
-    return _report(num, den, bounds)
+    return _report(*_norm_pair(f, p, tol), bounds)
 
 
 def verify_theorem2(phi: PiecewiseFn, p: float,

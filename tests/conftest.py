@@ -7,15 +7,39 @@ from hardylab import norms
 def gk15_calls(monkeypatch):
     """Counts the GK15 segments that norms evaluates during the test.
 
-    Returns a function giving the count so far.
+    A batched call of n segments counts n.  Returns a function giving the
+    count so far.
     """
     count = 0
     real = norms._gk15
 
-    def counted(fn, a, b):
+    def counted(fn, reg, a, b):
         nonlocal count
-        count += 1
-        return real(fn, a, b)
+        count += len(a)
+        return real(fn, reg, a, b)
 
     monkeypatch.setattr(norms, "_gk15", counted)
+    return lambda: count
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Counts the calls of the integrand evaluators that norms compiles.
+
+    Returns a function giving the count so far.
+    """
+    count = 0
+    real = norms._compile
+
+    def compile_counted(pis):
+        fn = real(pis)
+
+        def counted(reg, nodes):
+            nonlocal count
+            count += 1
+            return fn(reg, nodes)
+
+        return counted
+
+    monkeypatch.setattr(norms, "_compile", compile_counted)
     return lambda: count

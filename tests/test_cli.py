@@ -21,6 +21,10 @@ from hardylab.verify import verify_crude
 
 INF = math.inf
 
+#: 1 on (0,1], -3 on (1,2]: outside the nonnegative domain of the theorems.
+SIGNED = ('{"breakpoints":[0,1,2,"inf"],'
+          '"pieces":[[{"c":1,"a":0,"k":0}],[{"c":-3,"a":0,"k":0}],[]]}')
+
 
 def capture(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -181,6 +185,37 @@ class TestRun:
         monkeypatch.setenv("HARDYLAB_THREADS", "4")
         _, par, _ = capture(argv)
         assert seq == par
+
+    def test_signed_norm_integrates_absolute_value(self):
+        # 1 on (0,1], -3 on (1,2]: ||f||_2 = sqrt(1 + 9)
+        code, out, _ = capture(["norm", "-f", SIGNED, "-p", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["value"] - math.sqrt(10.0)) <= payload["err"]
+
+    @pytest.mark.parametrize("theorem", ["thm1", "crude"])
+    def test_signed_verify_refused(self, theorem):
+        code, out, err = capture(["verify", theorem, "-f", SIGNED, "-p", "3"])
+        assert code == 3
+        assert out == ""
+        assert "NegativityDetected" in err
+
+    def test_fuzz_computes_each_norm_pair_once(self, monkeypatch):
+        import hardylab.verify as verify
+
+        calls = 0
+        real = verify.lp_norm
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, "lp_norm", counted)
+        code, _, _ = capture(["fuzz", "--seed", "7", "--count", "3", "-p", "2", "-p", "3"])
+        assert code == 0
+        # 3 cases x 2 p x (||Hf||, ||H*f||), shared by both theorems
+        assert calls == 12
 
     def test_parser_reused_after_failed_parse(self):
         argv = ["norm", "-f", "chi(0,1)", "-p", "2"]

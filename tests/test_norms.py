@@ -258,6 +258,28 @@ class TestGlobalBudget:
         want = _mollified_steps_power_integral(TALL_STEP_CUTS, 4.0, 1024, 5.0) ** 0.2
         assert abs(res.value - want) <= res.err
 
+    def test_tall_steps_one_evaluator_call_per_batch(self, evaluator_calls, gk15_calls,
+                                                     monkeypatch):
+        from hardylab import norms
+        from hardylab.duality import mollify
+
+        batches = 0
+        real = norms._gk15_seeds
+
+        def counted(fn, seeds):
+            nonlocal batches
+            batches += 1
+            return real(fn, seeds)
+
+        # the seeds, each cutoff push and each adaptive round are one batch
+        monkeypatch.setattr(norms, "_gk15_seeds", counted)
+        phi = make_piecewise([0.0, *TALL_STEP_CUTS, INF],
+                             [[(4.0 * (4 - i), 0, 0)] for i in range(4)] + [[]],
+                             require_nonneg=True)
+        lp_norm(mollify(phi, 1024), 5.0, 1e-10)
+        assert 0 < evaluator_calls() <= batches
+        assert evaluator_calls() < gk15_calls()
+
     def test_near_zero_exponent_dual_work(self, gk15_calls):
         hs = dual_hardy(NEAR_ZERO)
         start = gk15_calls()
@@ -304,3 +326,69 @@ class TestGlobalBudget:
         want = 3.0 * (5.0 / 18.0) ** p + 2.5 ** p * 3.0 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
         assert res.err <= max(tol, 1e-12 * res.value)
         assert abs(res.value - want) <= res.err + 1e-15 * want
+
+
+def _scalar_integrand(pi, lx, extra):
+    """Reference for the compiled evaluator: the product integrand at
+    x = exp(lx), times exp(extra), one node at a time with math."""
+    log_h = math.log(pi.const) + pi.x_power * lx + extra
+    for atoms, power in pi.factors:
+        terms = []
+        for at in atoms:
+            if at.log_power and lx == 0.0:
+                continue  # ln(1) = 0
+            m = math.log(abs(at.coef)) + at.exponent * lx
+            if at.log_power:
+                m += at.log_power * math.log(abs(lx))
+            sign = math.copysign(1.0, at.coef)
+            terms.append((m, -sign if lx < 0.0 and at.log_power % 2 else sign))
+        if not terms:
+            return 0.0
+        best = max(m for m, _ in terms)
+        s = sum(sign * math.exp(m - best) for m, sign in terms)
+        if s == 0.0:
+            return 0.0
+        log_h += power * (best + math.log(abs(s)))
+    if log_h >= 700.0:
+        return math.inf
+    if log_h <= -745.0:
+        return 0.0
+    return math.exp(log_h)
+
+
+class TestCompiledEvaluator:
+    def test_matches_scalar_reference(self):
+        from hardylab.funcmodel import PowerLogAtom as A
+        from hardylab.norms import _compile, _ProductIntegrand
+
+        pis = [
+            # mixed signs and odd log powers
+            _ProductIntegrand(2.0, 0.5, (((A(1.5, 0.3, 1), A(-0.7, 1.2, 0),
+                                           A(2.0, -0.4, 3)), 2.5),)),
+            # two factors
+            _ProductIntegrand(0.8, -1.0, (((A(1.0, 0.0, 0),), 1.0),
+                                          ((A(3.0, 2.0, 2), A(0.5, -1.0, 1)), 1.5))),
+            _ProductIntegrand(1.0, 0.0, (((A(1.0, 2.0, 0),), 3.0),)),  # x**6
+            _ProductIntegrand(1.5, 0.0, (((A(1.0, 0.5, 1),), 2.0),)),  # log atoms only
+            _ProductIntegrand(1.0, 0.0, (((A(1.0, 0.0, 0),), 1.0),)),  # 1
+        ]
+        # (region, node): region 3i is the zero end (node t, x = exp(-t)),
+        # 3i + 1 the interior (node x), 3i + 2 the infinity end (x = exp(t))
+        cases = [(1, x) for x in (1.0, 0.5, 0.05, 2.0, 7.5)]  # x = 1, x < 1
+        cases += [(0, 1.0), (0, 3.7), (2, 1.0), (2, 4.2)]
+        cases += [(4, x) for x in (1.0, 0.3, 3.0)] + [(3, 2.5), (5, 2.5)]
+        cases += [(6, 200.0), (8, 200.0), (8, 100.5), (7, 0.5)]  # underflow, overflow
+        cases += [(12, 745.05)]  # exp(-745.05) would round to a subnormal
+        cases += [(10, 1.0), (10, 0.4)]  # log-only factor at x = 1 and x < 1
+        regions = np.array([r for r, _ in cases])
+        nodes = np.array([[t] for _, t in cases])
+        got = _compile(pis)(regions, nodes)[:, 0]
+        for (r, node), g in zip(cases, got):
+            i, kind = divmod(r, 3)
+            lx = math.log(node) if kind == 1 else (kind - 1) * node
+            want = _scalar_integrand(pis[i], lx, 0.0 if kind == 1 else lx)
+            if want == 0.0 or math.isinf(want):
+                assert g == want, (r, node)
+            else:
+                assert g == pytest.approx(want, rel=1e-13), (r, node)
+        assert 0.0 in got and math.inf in got

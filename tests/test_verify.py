@@ -112,6 +112,20 @@ class TestTheorem1:
             dual_hardy(tail)
 
 
+class TestNonnegCertificate:
+    def test_flagged_input_is_not_certified_again(self, monkeypatch):
+        import hardylab.verify as verify
+
+        def fail(f):
+            raise AssertionError("certified input sampled again")
+
+        monkeypatch.setattr(verify, "_certify_nonneg", fail)
+        f = fuzz_generate(FuzzConfig(seed=10))
+        assert f.nonneg
+        assert verify_theorem1(f, 2.0).holds
+        assert verify_crude(f, 2.0).holds
+
+
 class TestCrude:
     def test_chi_p3(self):
         rep = verify_crude(chi01(), 3.0)
