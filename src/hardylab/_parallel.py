@@ -1,30 +1,11 @@
-"""Optional thread-pool mapping with deterministic output ordering.
+"""Ordered mapping over the cases of a sweep or fuzz suite.
 
-HARDYLAB_THREADS caps the worker count; unset or 1 means sequential, which
-is the default since the workloads are pure Python and rarely benefit from
-threads.  Results always come back in input order regardless of completion
-order, so output is reproducible either way.
+The work is pure Python and holds the GIL, so it runs sequentially; results
+come back in input order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("HARDYLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
 
 def map_ordered(fn, items) -> list:
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -41,13 +41,18 @@ from .norms import DEFAULT_TOL, lp_norm
 from .operators import cumulative_integral, dual_hardy, hardy, hardy_minus_identity
 
 
-def has_jumps(phi: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
-    """True when phi is discontinuous at some interior breakpoint."""
+def _first_jump(phi: PiecewiseFn, tol: float) -> float | None:
+    """The first interior breakpoint where phi is discontinuous, or None."""
     for i in range(1, len(phi.breakpoints) - 1):
         lv, rv = left_value(phi, i), right_value(phi, i)
         if abs(lv - rv) > tol * max(1.0, abs(lv), abs(rv)):
-            return True
-    return False
+            return phi.breakpoints[i]
+    return None
+
+
+def has_jumps(phi: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
+    """True when phi is discontinuous at some interior breakpoint."""
+    return _first_jump(phi, tol) is not None
 
 
 def _check_decay(phi: PiecewiseFn) -> None:
@@ -68,13 +73,9 @@ def phi_to_f(phi: PiecewiseFn) -> PiecewiseFn:
     if not is_nonincreasing(phi):
         raise NotMonotone("phi must be nonincreasing")
     _check_decay(phi)
-    for i in range(1, len(phi.breakpoints) - 1):
-        lv, rv = left_value(phi, i), right_value(phi, i)
-        if abs(lv - rv) > TOL_EVAL * max(1.0, abs(lv), abs(rv)):
-            raise JumpDiscontinuity(
-                f"phi jumps at x={phi.breakpoints[i]}; mollify first",
-                x=phi.breakpoints[i],
-            )
+    jump = _first_jump(phi, TOL_EVAL)
+    if jump is not None:
+        raise JumpDiscontinuity(f"phi jumps at x={jump}; mollify first", x=jump)
     d = derivative(phi)
     pieces = tuple(
         collect_atoms(
@@ -187,11 +188,23 @@ class EquivalenceReport:
         }
 
 
-def _rel_gap(a: float, b: float) -> float:
+def _point_gap(g: PiecewiseFn, h: PiecewiseFn, x: float, tol: float) -> float:
+    """Relative gap of g and h at x.
+
+    A gap over tol is judged again against the rounding scale, the sum of
+    |atom values| of both sides at x (the rule of collect_atoms): next to a
+    root of an expanded polynomial max(|g(x)|, |h(x)|) vanishes while the
+    rounding of its atoms does not.
+    """
+    a, b = evaluate(g, x), evaluate(h, x)
     scale = max(abs(a), abs(b))
     if scale < 1e-290:
         return 0.0
-    return abs(a - b) / max(scale, 1.0e-300)
+    gap = abs(a - b) / scale
+    if gap > tol:
+        gap = abs(a - b) / sum(abs(at.value_at(x)) for k in (g, h)
+                               for at in k.pieces[piece_index(k, x)])
+    return gap
 
 
 def check_equivalence(phi: PiecewiseFn, p: float,
@@ -212,10 +225,10 @@ def check_equivalence(phi: PiecewiseFn, p: float,
     worst_x1 = worst_x2 = math.nan
     gap1 = gap2 = 0.0
     for x in sample_grid(phi):
-        g1 = _rel_gap(evaluate(lhs_diff, x), evaluate(rhs_diff, x))
+        g1 = _point_gap(lhs_diff, rhs_diff, x, tol)
         if g1 > gap1:
             gap1, worst_x1 = g1, x
-        g2 = _rel_gap(evaluate(phi_back, x), evaluate(phi, x))
+        g2 = _point_gap(phi_back, phi, x, tol)
         if g2 > gap2:
             gap2, worst_x2 = g2, x
     quad_tol = min(tol, DEFAULT_TOL) * 0.1

@@ -190,8 +190,7 @@ def sweep(kind: FamilyKind, p: float, eps_grid: Sequence[float] | None = None,
     """Norms, ratio, and sandwich checks over a decreasing eps grid.
 
     Records stay in eps-descending order; a grid point whose quadrature
-    fails is marked unconverged instead of aborting the sweep.  Grid points
-    may be evaluated in parallel (HARDYLAB_THREADS).
+    fails is marked unconverged instead of aborting the sweep.
     """
     if eps_grid is None:
         grid = default_eps_grid(kind, p)

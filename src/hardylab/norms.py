@@ -57,7 +57,7 @@ from .errors import (
     NotConverged,
 )
 from .funcmodel import PiecewiseFn, PowerLogAtom
-from .operators import cumulative_integral, dual_hardy, hardy
+from .operators import dual_hardy, hardy
 
 DEFAULT_TOL = 1e-9
 
@@ -395,21 +395,16 @@ def _integrate(tasks, tol: float) -> tuple[float, float]:
 # Public norm interface
 
 
-def _leading_exponents(atoms) -> tuple[float, float]:
-    exts = [a.exponent for a in atoms]
-    return min(exts), max(exts)
-
-
 def check_lp_defined(g: PiecewiseFn, p: float) -> None:
     """Leading-exponent integrability tests; raises NormDiverges on failure."""
     if g.pieces[0]:
-        a_min, _ = _leading_exponents(g.pieces[0])
+        a_min = min(a.exponent for a in g.pieces[0])
         if a_min * p <= -1.0:
             raise NormDiverges(
                 f"norm diverges at zero: leading exponent {a_min} with p={p}"
             )
     if g.pieces[-1]:
-        _, a_max = _leading_exponents(g.pieces[-1])
+        a_max = max(a.exponent for a in g.pieces[-1])
         if a_max * p >= -1.0:
             raise NormDiverges(
                 f"norm diverges at infinity: leading exponent {a_max} with p={p}"
@@ -453,123 +448,120 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     return _norm_from_power(vp, ep, p)
 
 
+def _identity_integral(f: PiecewiseFn, g: PiecewiseFn, const: float, p: float,
+                       tol: float) -> QuadResult:
+    """const * integral of f * g**(p-1) over (0, inf), for g = Hf or H*f."""
+    check_lp_defined(g, p)
+    tasks = [
+        (_ProductIntegrand(const, 0.0, ((atoms, 1.0), (g.pieces[i], p - 1.0))),
+         f.breakpoints[i], f.breakpoints[i + 1])
+        for i, atoms in enumerate(f.pieces) if atoms and g.pieces[i]
+    ]
+    if not tasks:
+        return QuadResult(0.0, 0.0, True)
+    return QuadResult(*_integrate(tasks, tol), True)
+
+
 def ip_via_parts(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """integral of (Hf)**p computed by the integration-by-parts identity
 
-        p' * integral of x**(1-p) * f(x) * (integral of f over (0,x))**(p-1)
+        p' * integral of f(x) * (Hf)(x)**(p-1)
 
     Must agree with lp_norm(hardy(f), p)**p; keeping the two routes separate
     is the point, so this one never calls the norm of Hf.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
-    check_lp_defined(hardy(f), p)
-    big_f = cumulative_integral(f)
-    p_conj = p / (p - 1.0)
-    tasks = []
-    for i, atoms in enumerate(f.pieces):
-        if atoms and big_f.pieces[i]:
-            pi = _ProductIntegrand(p_conj, 1.0 - p,
-                                   ((atoms, 1.0), (big_f.pieces[i], p - 1.0)))
-            tasks.append((pi, f.breakpoints[i], f.breakpoints[i + 1]))
-    if not tasks:
-        return QuadResult(0.0, 0.0, True)
-    v, e = _integrate(tasks, tol)
-    return QuadResult(v, e, True)
+    return _identity_integral(f, hardy(f), p / (p - 1.0), p, tol)
 
 
 def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """integral of (H*f)**p computed by the Fubini identity
 
-        p * integral of f(x) * (integral of f(u)/u over (x, inf))**(p-1)
+        p * integral of f(x) * (H*f)(x)**(p-1)
 
     Must agree with lp_norm(dual_hardy(f), p)**p.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
-    hstar = dual_hardy(f)
-    check_lp_defined(hstar, p)
-    tasks = []
-    for i, atoms in enumerate(f.pieces):
-        if atoms and hstar.pieces[i]:
-            pi = _ProductIntegrand(p, 0.0,
-                                   ((atoms, 1.0), (hstar.pieces[i], p - 1.0)))
-            tasks.append((pi, f.breakpoints[i], f.breakpoints[i + 1]))
-    if not tasks:
-        return QuadResult(0.0, 0.0, True)
-    v, e = _integrate(tasks, tol)
-    return QuadResult(v, e, True)
+    return _identity_integral(f, dual_hardy(f), p, p, tol)
 
 
 # ---------------------------------------------------------------------------
 # Numeric oracle path for black-box functions
 
 
-def _plain_quad(fn, a, b, budget):
-    seeds = _geom_seeds(a, b) if a > 0 else [(a, b)]
+def _callable_seeds(a, b, singular) -> list[tuple]:
+    """(region, lo, hi) seeds on [a, b] for a black-box integrand.
+
+    Log-subdivided between the singular points inside; next to each singular
+    point, geometric bands of ratio 1/4 that stop at the point's ulp, so the
+    point itself is never evaluated.  The innermost band of each side is
+    region 1, the rest region 0.
+    """
+    edges = [a, *sorted(s for s in singular if a < s < b), b]
+    seeds = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        l_sing, r_sing = lo in singular, hi in singular
+        mid = 0.5 * (lo + hi) if l_sing and r_sing else (hi if l_sing else lo)
+        sides = [(lo, mid)] * l_sing + [(hi, mid)] * r_sing
+        if not sides:
+            seeds += [(0, s, t) for s, t in _geom_seeds(lo, hi)]
+        for point, end in sides:
+            ulp = max(4e-16 * max(abs(point), abs(end)), 1e-280)
+            w = end - point
+            while abs(w) > ulp:
+                seeds.append((int(0.25 * abs(w) <= ulp),
+                              *sorted((point + 0.25 * w, point + w))))
+                w *= 0.25
+    return seeds
+
+
+def _tail_seeds(h, x, expo, singular, target):
+    """Seeds of doubling segments [x, 2x], [2x, 4x], ... for the tail of h.
+
+    They run out until the hinted remainder h(x) * x / (-expo - 1) past the
+    last one meets target, expo being h's hinted exponent at infinity; with
+    a non-integrable hint only h(x) == 0 ends them.  Returns (seeds,
+    remainder).
+    """
+    seeds = []
+    for _ in range(200):
+        seeds += _callable_seeds(x, 2.0 * x, singular)
+        x *= 2.0
+        hx = abs(h(x))
+        if expo < -1.0:
+            rem = hx * x / (-expo - 1.0)
+        else:
+            rem = 0.0 if hx == 0.0 else math.inf
+        if rem <= target:
+            return seeds, rem
+    raise NormDiverges("tail mass does not settle; hinted exponent too slow")
+
+
+def _callable_quad(fn, seeds, budget, rem=0.0):
+    """One error heap over the seeds of a black-box scalar integrand.
+
+    ``rem`` is a hinted remainder outside the seeds, half added to the value
+    and half to err, as in _integrate.  Twice the seed value of each
+    innermost band (region 1) goes into err as the estimate of the sliver
+    the bands leave uncovered.
+    """
     batched = lambda reg, x: np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
-    segs = _gk15_seeds(batched, [(0, lo, hi) for lo, hi in seeds])
-    v, e, _ = _adaptive(batched, segs, budget)
-    return v, e
+    segs = _gk15_seeds(batched, seeds)
+    sliver = 2.0 * sum(abs(item[4]) for item in segs if item[1] == 1)
+    value, err, _ = _adaptive(batched, segs, budget, (0.5 * rem, 0.5 * rem))
+    return value, err + sliver
 
 
 def _quad_with_singularities(fn, a, b, singular, budget):
-    """Adaptive quadrature on [a, b], geometric refinement toward singular points.
+    """Integral of fn over [a, b], seeded as in _callable_seeds, in one heap.
 
-    Oracle-grade: band recursion stops on a relative plateau, and the last
-    band is carried as the sliver estimate.
+    Oracle-grade: the whole budget goes to one _adaptive call, and the
+    innermost band next to each singular point is carried as the sliver
+    estimate.
     """
-    inner = sorted(s for s in singular if a < s < b)
-    edges = [a, *inner, b]
-    sing = set(singular)
-    total_v = total_e = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub_budget = budget / (len(edges) - 1)
-        l_sing = lo in sing
-        r_sing = hi in sing
-        if l_sing and r_sing:
-            mid = 0.5 * (lo + hi)
-            for seg, toward_left in (((lo, mid), True), ((mid, hi), False)):
-                v, e = _banded_quad(fn, *seg, toward_left, 0.5 * sub_budget)
-                total_v += v
-                total_e += e
-        elif l_sing or r_sing:
-            v, e = _banded_quad(fn, lo, hi, l_sing, sub_budget)
-            total_v += v
-            total_e += e
-        else:
-            v, e = _plain_quad(fn, lo, hi, sub_budget)
-            total_v += v
-            total_e += e
-    return total_v, total_e
-
-
-def _banded_quad(fn, lo, hi, toward_left, budget, ratio=0.25, max_bands=400):
-    """Geometric bands shrinking toward one (integrable-)singular endpoint.
-
-    Bands never collapse below the ulp of the endpoint, so the singular
-    point itself is never evaluated.
-    """
-    total_v = total_e = 0.0
-    width = hi - lo
-    ulp = max(4e-16 * max(abs(lo), abs(hi)), 1e-280)
-    last_band = 0.0
-    for k in range(max_bands):
-        w_out, w_in = width * ratio ** k, width * ratio ** (k + 1)
-        if w_out <= ulp:
-            break
-        if toward_left:
-            a, b = lo + w_in, lo + w_out
-        else:
-            a, b = hi - w_out, hi - w_in
-        v, e = _plain_quad(fn, a, b, budget * 0.1)
-        total_v += v
-        total_e += e
-        last_band = abs(v)
-        if k >= 4 and last_band <= max(1e-16 * abs(total_v), 1e-300):
-            break
-    total_e += 2.0 * last_band  # sliver estimate for the uncovered band
-    return total_v, total_e
+    return _callable_quad(fn, _callable_seeds(a, b, singular), budget)
 
 
 def numeric_hardy(f: CallableFn, grid) -> CallableFn:
@@ -588,13 +580,9 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
         raise ValueError("grid must be an increasing sequence of positive reals")
-    cum = np.zeros(len(g))
-    v0, _ = _banded_quad(f.evaluator, 0.0, g[0], True, 1e-12)
-    cum[0] = v0
-    for i in range(1, len(g)):
-        v, _ = _quad_with_singularities(f.evaluator, g[i - 1], g[i],
-                                        f.singular_points, 1e-12)
-        cum[i] = cum[i - 1] + v
+    sing = (0.0, *f.singular_points)  # the first cell is banded toward 0
+    cum = np.cumsum([_quad_with_singularities(f.evaluator, lo, hi, sing, 1e-12)[0]
+                     for lo, hi in zip([0.0, *g[:-1]], g)])
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(g, cum)
@@ -617,9 +605,10 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
 def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
     """Tabulated dual average: backward cumulative of f(t)/t, interpolated.
 
-    The tail beyond the last node is accumulated by doubling segments with a
-    hint-based remainder estimate; a nonnegative hint is accepted only when
-    the function actually vanishes out there (compact support).
+    The tail beyond the last node is one error heap over doubling segments
+    with a hint-based remainder estimate, as in lp_norm_callable; a
+    nonnegative hint is accepted only when the function actually vanishes
+    out there (compact support).
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
@@ -631,22 +620,12 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
                 f"hinted tail exponent {f.tail_exponent_hint} is not integrable"
             )
     over_t = lambda t: f.evaluator(t) / t
-    tail = 0.0
-    x = g_last
-    for _ in range(200):
-        v, _ = _quad_with_singularities(over_t, x, 2.0 * x, f.singular_points, 1e-12)
-        tail += v
-        x *= 2.0
-        fx = abs(f.evaluator(x))
-        rem = fx / max(-f.tail_exponent_hint, 0.5)
-        if rem <= 1e-14 * max(tail, 1.0) or (fx == 0.0 and v == 0.0):
-            break
-    vals = np.zeros(len(g))
-    vals[-1] = tail
-    for i in range(len(g) - 2, -1, -1):
-        v, _ = _quad_with_singularities(over_t, g[i], g[i + 1],
-                                        f.singular_points, 1e-12)
-        vals[i] = vals[i + 1] + v
+    seeds, rem = _tail_seeds(over_t, g_last, f.tail_exponent_hint - 1.0,
+                             f.singular_points, 0.25e-12)
+    cells = [_quad_with_singularities(over_t, lo, hi, f.singular_points, 1e-12)[0]
+             for lo, hi in zip(g[:-1], g[1:])]
+    # accumulated backward from the tail
+    vals = np.cumsum([_callable_quad(over_t, seeds, 1e-12, rem)[0], *cells[::-1]])[::-1]
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(g, vals)
@@ -670,37 +649,32 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
 def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Oracle-grade Lp norm of a black-box nonnegative function.
 
-    Integrability at the ends is decided from the exponent hints; error
-    estimates come from the quadrature pair and hint-based tail remainders,
-    so this is a cross-check tool, not a bound certificate.
+    Integrability at the ends is decided from the exponent hints.  The zero
+    end, the middle and the tail share one error heap with the whole budget:
+    bands of ratio 1/4 shrink toward 0 until the hinted remainder
+    g(d)**p * d / (zero hint * p + 1) meets tol / 4, the middle is seeded
+    as in _quad_with_singularities, and doubling segments run out until
+    the hinted tail remainder meets tol / 4.  Half of each remainder goes to
+    the value and half to err.  Error estimates come from the quadrature
+    pair and these hint-based remainders, so this is a cross-check tool,
+    not a bound certificate.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
-    if f.zero_exponent_hint * p <= -1.0:
+    zp = f.zero_exponent_hint * p + 1.0
+    if zp <= 0.0:
         raise NormDiverges("norm diverges at zero by the hinted exponent")
     gp = lambda x: max(f.evaluator(x), 0.0) ** p
     positive_sing = [s for s in f.singular_points if s > 0.0]
     anchor = min(1.0, *(s / 2.0 for s in positive_sing)) if positive_sing else 1.0
-    value, err = _banded_quad(gp, 0.0, anchor, True, tol / 4.0)
     far = max(1.0, *(2.0 * s for s in positive_sing)) if positive_sing else 1.0
-    if far > anchor:
-        v, e = _quad_with_singularities(gp, anchor, far, f.singular_points, tol / 4.0)
-        value += v
-        err += e
-    x = far
-    tp = f.tail_exponent_hint * p
-    for _ in range(200):
-        v, e = _plain_quad(gp, x, 2.0 * x, tol / 8.0)
-        value += v
-        err += e
-        x *= 2.0
-        gx = gp(x)
-        rem = gx * x / max(-tp - 1.0, 0.1)
-        if tp < -1.0 and rem <= tol / 4.0:
-            err += rem
-            break
-        if gx == 0.0 and v == 0.0:
-            break
-    else:
-        raise NormDiverges("tail mass does not settle; hinted exponent too slow")
+    seeds = []
+    d = anchor
+    while (rem := gp(d) * d / zp) > tol / 4.0 and d > 1e-280:
+        seeds.append((0, 0.25 * d, d))
+        d *= 0.25
+    seeds += _callable_seeds(anchor, far, f.singular_points)
+    tail, rem_inf = _tail_seeds(gp, far, f.tail_exponent_hint * p,
+                                f.singular_points, tol / 4.0)
+    value, err = _callable_quad(gp, seeds + tail, tol, rem + rem_inf)
     return _norm_from_power(value, err, p)

@@ -178,14 +178,6 @@ class TestRun:
         assert payload["checks"] == 72
         assert payload["violated"] == 0
 
-    def test_threads_do_not_change_output(self, monkeypatch):
-        argv = ["sweep", "--family", "step", "-p", "3",
-                "--grid", "0.1", "0.01", "--format", "json"]
-        _, seq, _ = capture(argv)
-        monkeypatch.setenv("HARDYLAB_THREADS", "4")
-        _, par, _ = capture(argv)
-        assert seq == par
-
     def test_signed_norm_integrates_absolute_value(self):
         # 1 on (0,1], -3 on (1,2]: ||f||_2 = sqrt(1 + 9)
         code, out, _ = capture(["norm", "-f", SIGNED, "-p", "2"])

@@ -13,6 +13,7 @@ from hardylab.duality import (
     sample_grid,
 )
 from hardylab.errors import (
+    EquivalenceViolated,
     JumpDiscontinuity,
     NoDecayAtInfinity,
     NotMonotone,
@@ -23,6 +24,7 @@ from hardylab.funcmodel import (
     evaluate,
     is_nonincreasing,
     make_piecewise,
+    scale,
 )
 from hardylab.norms import lp_norm
 
@@ -31,6 +33,26 @@ INF = math.inf
 
 def chi01():
     return make_piecewise([0, 1, INF], [[(1, 0, 0)], []], require_nonneg=True)
+
+
+#: A continuous piecewise-quadratic phi whose last piece has a double root at
+#: its right breakpoint 4.0546..., and the p it was checked at.
+DOUBLE_ROOT_PIECES = [
+    [(17.43689913664931, 0, 0), (-10.83033863275719, 1, 0),
+     (1.6843428871825918, 2, 0)],
+    [(17.134849309160845, 0, 0), (-10.421556865787775, 1, 0),
+     (1.6843428871825918, 2, 0)],
+    [(10.931183312968294, 0, 0), (-5.391981599285704, 1, 0),
+     (0.6649203643978803, 2, 0)],
+    [],
+]
+DOUBLE_ROOT_BREAKS = [0.0, 0.7389023970608279, 2.4668747031226075, 4.054607053709674,
+                      INF]
+DOUBLE_ROOT_P = 2.2039373996298326
+
+
+def double_root_phi():
+    return make_piecewise(DOUBLE_ROOT_BREAKS, DOUBLE_ROOT_PIECES)
 
 
 def tent():
@@ -53,8 +75,9 @@ class TestPhiToF:
         assert f.pieces[1] == (PowerLogAtom(1, -1, 0),)
 
     def test_step_rejected(self):
-        with pytest.raises(JumpDiscontinuity):
+        with pytest.raises(JumpDiscontinuity) as exc:
             phi_to_f(chi01())
+        assert exc.value.x == 1.0
 
     def test_not_monotone(self):
         with pytest.raises(NotMonotone):
@@ -166,6 +189,28 @@ class TestCheckEquivalence:
         z = make_piecewise([0, INF], [[]])
         rep = check_equivalence(z, 2.0)
         assert rep.verdict == "pass"
+
+    def test_double_root_passes(self):
+        # phi's last piece has a double root at its right breakpoint: the
+        # plain relative gap divides by |phi| ~ 0 there and reads the
+        # rounding of the expanded quadratic as a violation.  phi has no
+        # jumps, so this is the check `hardylab duality` runs (--tol 1e-9).
+        phi = double_root_phi()
+        assert not has_jumps(phi)
+        rep = check_equivalence(phi, DOUBLE_ROOT_P, tol=1e-9)
+        assert rep.verdict == "pass"
+        assert rep.max_gap_dual_identity < 1e-12
+
+    def test_real_defect_still_raises(self, monkeypatch):
+        from hardylab import duality
+
+        real = duality.f_to_phi
+        monkeypatch.setattr(duality, "f_to_phi",
+                            lambda f: scale(real(f), 1.0 + 1e-6))
+        for phi, p in ((tent(), 2.0), (double_root_phi(), DOUBLE_ROOT_P)):
+            with pytest.raises(EquivalenceViolated) as exc:
+                check_equivalence(phi, p, tol=1e-9)
+            assert exc.value.gap > 1e-7
 
     def test_report_schema(self):
         d = check_equivalence(tent(), 2.0).to_dict()

@@ -202,6 +202,53 @@ class TestNumericOracles:
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-7)
 
 
+class TestCallableHeap:
+    """Every black-box integral is one error heap with the caller's budget."""
+
+    def test_callable_norm_one_heap(self, adaptive_calls):
+        h = hardy(chi01())
+        fc = CallableFn(lambda x: evaluate(h, x), singular_points=(1.0,),
+                        tail_exponent_hint=-1.0, zero_exponent_hint=0.0)
+        res = lp_norm_callable(fc, 2.0, 1e-9)
+        assert adaptive_calls() == 1
+        assert abs(res.value - math.sqrt(2.0)) <= res.err
+
+    def test_quad_with_singularities_one_heap(self, adaptive_calls):
+        from hardylab.norms import _quad_with_singularities
+
+        # |x - 1|^(-1/2) on [0.5, 2]: 2 * (sqrt(0.5) + 1)
+        v, e = _quad_with_singularities(lambda x: abs(x - 1.0) ** -0.5,
+                                        0.5, 2.0, (1.0,), 1e-10)
+        assert adaptive_calls() == 1
+        assert abs(v - 2.0 * (math.sqrt(0.5) + 1.0)) <= e
+
+    def test_numeric_operators_one_heap_per_cell(self, adaptive_calls):
+        from hardylab.norms import numeric_dual_hardy
+
+        f = fuzz_generate(FuzzConfig(seed=11))
+        fc = CallableFn(lambda x: evaluate(f, x),
+                        singular_points=tuple(b for b in f.breakpoints
+                                              if math.isfinite(b) and b > 0),
+                        tail_exponent_hint=-1.5,
+                        zero_exponent_hint=min(a.exponent for a in f.pieces[0]))
+        grid = np.geomspace(1e-3, 1e3, 80)
+        numeric_hardy(fc, grid)
+        assert adaptive_calls() == 80  # the first cell and 79 between nodes
+        numeric_dual_hardy(fc, grid)
+        assert adaptive_calls() == 160  # 79 between nodes and the tail
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_zero_end_meets_tol(self, tol):
+        # x^-0.3 on (0,1] at p = 2: the integral of x^-0.6 is 2.5; the zero end
+        # runs until its hinted remainder meets tol, not to a fixed ulp
+        fc = CallableFn(lambda x: x ** -0.3 if x <= 1.0 else 0.0,
+                        singular_points=(1.0,), tail_exponent_hint=-10.0,
+                        zero_exponent_hint=-0.3)
+        res = lp_norm_callable(fc, 2.0, tol)
+        assert res.err <= 10.0 * tol
+        assert abs(res.value - math.sqrt(2.5)) <= res.err
+
+
 # Four steps of height 4, 16 in all, at these cuts.  At p = 5 nearly all of
 # the mollified form's integral sits in its first pieces: a budget handed out
 # piece by piece leaves the later pieces a sliver below their own rounding,
