@@ -502,11 +502,16 @@ def _callable_seeds(a, b, singular) -> list[tuple]:
     edges = [a, *sorted(s for s in singular if a < s < b), b]
     seeds = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        l_sing, r_sing = lo in singular, hi in singular
-        mid = 0.5 * (lo + hi) if l_sing and r_sing else (hi if l_sing else lo)
-        sides = [(lo, mid)] * l_sing + [(hi, mid)] * r_sing
-        if not sides:
+        if lo in singular and hi in singular:
+            mid = 0.5 * (lo + hi)
+            sides = [(lo, mid), (hi, mid)]
+        elif lo in singular:
+            sides = [(lo, hi)]
+        elif hi in singular:
+            sides = [(hi, lo)]
+        else:
             seeds += [(0, s, t) for s, t in _geom_seeds(lo, hi)]
+            continue
         for point, end in sides:
             ulp = max(4e-16 * max(abs(point), abs(end)), 1e-280)
             w = end - point
@@ -517,25 +522,33 @@ def _callable_seeds(a, b, singular) -> list[tuple]:
     return seeds
 
 
+def _batched(fn):
+    """fn, a scalar black box, as an array evaluator for _gk15."""
+    return lambda reg, x: np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+
+
 def _tail_seeds(h, x, expo, singular, target):
     """Seeds of doubling segments [x, 2x], [2x, 4x], ... for the tail of h.
 
     They run out until the hinted remainder h(x) * x / (-expo - 1) past the
-    last one meets target, expo being h's hinted exponent at infinity; with
-    a non-integrable hint only h(x) == 0 ends them.  Returns (seeds,
-    remainder).
+    last one meets target, expo being h's hinted exponent at infinity.  A
+    zero h(x) ends them only when the segment just added integrates to 0
+    as well (compact support); with a non-integrable hint nothing else does.
+    Returns (seeds, remainder).
     """
     seeds = []
     for _ in range(200):
-        seeds += _callable_seeds(x, 2.0 * x, singular)
+        segment = _callable_seeds(x, 2.0 * x, singular)
+        seeds += segment
         x *= 2.0
         hx = abs(h(x))
-        if expo < -1.0:
+        if hx == 0.0:
+            if all(item[4] == 0.0 for item in _gk15_seeds(_batched(h), segment)):
+                return seeds, 0.0
+        elif expo < -1.0:
             rem = hx * x / (-expo - 1.0)
-        else:
-            rem = 0.0 if hx == 0.0 else math.inf
-        if rem <= target:
-            return seeds, rem
+            if rem <= target:
+                return seeds, rem
     raise NormDiverges("tail mass does not settle; hinted exponent too slow")
 
 
@@ -547,7 +560,7 @@ def _callable_quad(fn, seeds, budget, rem=0.0):
     innermost band (region 1) goes into err as the estimate of the sliver
     the bands leave uncovered.
     """
-    batched = lambda reg, x: np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
+    batched = _batched(fn)
     segs = _gk15_seeds(batched, seeds)
     sliver = 2.0 * sum(abs(item[4]) for item in segs if item[1] == 1)
     value, err, _ = _adaptive(batched, segs, budget, (0.5 * rem, 0.5 * rem))
@@ -622,10 +635,12 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
     over_t = lambda t: f.evaluator(t) / t
     seeds, rem = _tail_seeds(over_t, g_last, f.tail_exponent_hint - 1.0,
                              f.singular_points, 0.25e-12)
-    cells = [_quad_with_singularities(over_t, lo, hi, f.singular_points, 1e-12)[0]
-             for lo, hi in zip(g[:-1], g[1:])]
-    # accumulated backward from the tail
-    vals = np.cumsum([_callable_quad(over_t, seeds, 1e-12, rem)[0], *cells[::-1]])[::-1]
+    vals = np.zeros(len(g))
+    vals[-1] = _callable_quad(over_t, seeds, 1e-12, rem)[0]
+    for i in range(len(g) - 2, -1, -1):
+        v, _ = _quad_with_singularities(over_t, g[i], g[i + 1],
+                                        f.singular_points, 1e-12)
+        vals[i] = vals[i + 1] + v
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(g, vals)
@@ -652,7 +667,8 @@ def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadR
     Integrability at the ends is decided from the exponent hints.  The zero
     end, the middle and the tail share one error heap with the whole budget:
     bands of ratio 1/4 shrink toward 0 until the hinted remainder
-    g(d)**p * d / (zero hint * p + 1) meets tol / 4, the middle is seeded
+    g(d)**p * d / (zero hint * p + 1) meets tol / 4 at a d below the anchor
+    where g is nonzero (or at the ulp of the anchor), the middle is seeded
     as in _quad_with_singularities, and doubling segments run out until
     the hinted tail remainder meets tol / 4.  Half of each remainder goes to
     the value and half to err.  Error estimates come from the quadrature
@@ -668,11 +684,17 @@ def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadR
     positive_sing = [s for s in f.singular_points if s > 0.0]
     anchor = min(1.0, *(s / 2.0 for s in positive_sing)) if positive_sing else 1.0
     far = max(1.0, *(2.0 * s for s in positive_sing)) if positive_sing else 1.0
+    # the hint describes g near 0, not at the anchor, and a zero g(d) says
+    # nothing about (0, d): bands go on past both, a zero to the ulp
     seeds = []
     d = anchor
-    while (rem := gp(d) * d / zp) > tol / 4.0 and d > 1e-280:
+    while True:
         seeds.append((0, 0.25 * d, d))
         d *= 0.25
+        gd = gp(d)
+        rem = gd * d / zp
+        if (rem <= tol / 4.0 and (gd > 0.0 or d <= 4e-16 * anchor)) or d <= 1e-280:
+            break
     seeds += _callable_seeds(anchor, far, f.singular_points)
     tail, rem_inf = _tail_seeds(gp, far, f.tail_exponent_hint * p,
                                 f.singular_points, tol / 4.0)

@@ -248,6 +248,32 @@ class TestCallableHeap:
         assert res.err <= 10.0 * tol
         assert abs(res.value - math.sqrt(2.5)) <= res.err
 
+    def test_zero_end_past_a_zero_at_the_anchor(self):
+        # no singular points, so the anchor is 1, where both functions vanish;
+        # the mass on (0, 1) must still be integrated
+        fc = CallableFn(lambda x: math.cos(0.5 * math.pi * x) if x <= 1.0 else 0.0)
+        res = lp_norm_callable(fc, 2.0, 1e-12)
+        assert abs(res.value - math.sqrt(0.5)) <= res.err
+        # 1 - x matches the hint exactly, so value and err differ only at the
+        # rounding level; the check here is that the mass is there
+        res = lp_norm_callable(CallableFn(lambda x: max(1.0 - x, 0.0)), 2.0, 1e-10)
+        assert math.isclose(res.value, 3.0 ** -0.5, rel_tol=1e-10)
+
+    def test_tail_past_a_zero_at_a_doubling_point(self):
+        from hardylab.norms import numeric_dual_hardy
+
+        # both functions vanish at 2, a doubling point of both tails, and on
+        # (3, inf); the integral of (x - 2)^2 e^(-2x) over (0, 3] is
+        # 1.25 * (1 - e^-6)
+        fc = CallableFn(lambda x: abs(x - 2.0) * math.exp(-x) if x <= 3.0 else 0.0)
+        res = lp_norm_callable(fc, 2.0, 1e-10)
+        assert abs(res.value - math.sqrt(1.25 * -math.expm1(-6.0))) <= res.err
+        # the tail of H*f past a grid ending at 1 is int_1^3 |t - 2| / t dt
+        fc = CallableFn(lambda x: abs(x - 2.0) if x <= 3.0 else 0.0)
+        dual = numeric_dual_hardy(fc, np.geomspace(1e-3, 1.0, 40))
+        assert dual(1.0) == pytest.approx(4.0 * math.log(2.0) - 2.0 * math.log(3.0),
+                                          rel=1e-12)
+
 
 # Four steps of height 4, 16 in all, at these cuts.  At p = 5 nearly all of
 # the mollified form's integral sits in its first pieces: a budget handed out
