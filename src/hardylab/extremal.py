@@ -68,7 +68,8 @@ class SweepRecord:
     sandwich_ok: bool | None
 
 
-def eps_range(kind: FamilyKind, p: float) -> tuple[float, float]:
+def eps_range(kind: FamilyKind | str, p: float) -> tuple[float, float]:
+    kind = FamilyKind(kind)
     if kind is FamilyKind.STEP:
         return 0.0, math.inf
     if kind is FamilyKind.ZERO_SINGULAR:
@@ -84,8 +85,9 @@ def _check_eps(kind: FamilyKind, eps: float, p: float) -> None:
         )
 
 
-def family(kind: FamilyKind, eps: float, p: float) -> PiecewiseFn:
+def family(kind: FamilyKind | str, eps: float, p: float) -> PiecewiseFn:
     """The exact family member as a PiecewiseFn (nonnegative by construction)."""
+    kind = FamilyKind(kind)
     _check_eps(kind, eps, p)
     inf = math.inf
     if kind is FamilyKind.STEP:
@@ -101,8 +103,10 @@ def family(kind: FamilyKind, eps: float, p: float) -> PiecewiseFn:
                           require_nonneg=True)
 
 
-def paper_bounds(kind: FamilyKind, eps: float, p: float) -> tuple[Sandwich, Sandwich]:
+def paper_bounds(kind: FamilyKind | str, eps: float,
+                 p: float) -> tuple[Sandwich, Sandwich]:
     """Closed-form sandwiches for (||Hf_eps||_p**p, ||H*f_eps||_p**p)."""
+    kind = FamilyKind(kind)
     _check_eps(kind, eps, p)
     if kind is FamilyKind.STEP:
         h_lo = eps ** p * (1.0 + eps) ** (1.0 - p) / (p - 1.0)
@@ -118,8 +122,9 @@ def paper_bounds(kind: FamilyKind, eps: float, p: float) -> tuple[Sandwich, Sand
     return Sandwich(None, h_hi), Sandwich(s_lo, None)
 
 
-def limit_ratio(kind: FamilyKind, p: float) -> float:
+def limit_ratio(kind: FamilyKind | str, p: float) -> float:
     """The eps -> 0 limit of the family's natural norm ratio."""
+    kind = FamilyKind(kind)
     if kind is FamilyKind.STEP:
         return (p - 1.0) ** (-1.0 / p)
     if kind is FamilyKind.ZERO_SINGULAR:
@@ -127,7 +132,7 @@ def limit_ratio(kind: FamilyKind, p: float) -> float:
     return p - 1.0
 
 
-def default_eps_grid(kind: FamilyKind, p: float) -> tuple[float, ...]:
+def default_eps_grid(kind: FamilyKind | str, p: float) -> tuple[float, ...]:
     """Log-spaced 1e-1 .. 1e-4, capped away from the divergence boundary.
 
     The sandwich relative width at eps = 1e-4 is about p*eps, comfortably
@@ -136,7 +141,7 @@ def default_eps_grid(kind: FamilyKind, p: float) -> tuple[float, ...]:
     interesting regime is eps -> 0 anyway.
     """
     grid = np.geomspace(1e-1, 1e-4, 7)
-    if kind is not FamilyKind.STEP:
+    if FamilyKind(kind) is not FamilyKind.STEP:
         _, hi = eps_range(kind, p)
         cap = min(hi, 0.49 / p)
         grid = grid[grid < cap]
@@ -185,13 +190,14 @@ def _one_record(kind: FamilyKind, eps: float, p: float, tol: float) -> SweepReco
     )
 
 
-def sweep(kind: FamilyKind, p: float, eps_grid: Sequence[float] | None = None,
+def sweep(kind: FamilyKind | str, p: float, eps_grid: Sequence[float] | None = None,
           tol: float = DEFAULT_TOL) -> list[SweepRecord]:
     """Norms, ratio, and sandwich checks over a decreasing eps grid.
 
     Records stay in eps-descending order; a grid point whose quadrature
     fails is marked unconverged instead of aborting the sweep.
     """
+    kind = FamilyKind(kind)
     if eps_grid is None:
         grid = default_eps_grid(kind, p)
     else:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import exprel, gammaincc
 
 from .errors import (
     BadExponent,
@@ -92,9 +92,9 @@ class QuadResult:
 class CallableFn:
     """A black-box function on (0, inf) with just enough side information.
 
-    ``singular_points`` lists locations where the function or its derivative
-    blows up; the exponent hints describe the asymptotic powers at 0 and
-    infinity and drive integrability checks and tail estimates.
+    ``singular_points`` are quadrature breakpoints where the function or a
+    derivative blows up or jumps; the exponent hints give the asymptotic
+    powers at 0 and infinity for integrability checks and grid continuations.
     """
 
     evaluator: Callable[[float], float]
@@ -491,90 +491,37 @@ def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> Qua
 # Numeric oracle path for black-box functions
 
 
-def _callable_seeds(a, b, singular) -> list[tuple]:
-    """(region, lo, hi) seeds on [a, b] for a black-box integrand.
-
-    Log-subdivided between the singular points inside; next to each singular
-    point, geometric bands of ratio 1/4 that stop at the point's ulp, so the
-    point itself is never evaluated.  The innermost band of each side is
-    region 1, the rest region 0.
-    """
-    edges = [a, *sorted(s for s in singular if a < s < b), b]
-    seeds = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo in singular and hi in singular:
-            mid = 0.5 * (lo + hi)
-            sides = [(lo, mid), (hi, mid)]
-        elif lo in singular:
-            sides = [(lo, hi)]
-        elif hi in singular:
-            sides = [(hi, lo)]
-        else:
-            seeds += [(0, s, t) for s, t in _geom_seeds(lo, hi)]
-            continue
-        for point, end in sides:
-            ulp = max(4e-16 * max(abs(point), abs(end)), 1e-280)
-            w = end - point
-            while abs(w) > ulp:
-                seeds.append((int(0.25 * abs(w) <= ulp),
-                              *sorted((point + 0.25 * w, point + w))))
-                w *= 0.25
-    return seeds
-
-
-def _batched(fn):
-    """fn, a scalar black box, as an array evaluator for _gk15."""
-    return lambda reg, x: np.reshape([fn(v) for v in x.ravel().tolist()], x.shape)
-
-
-def _tail_seeds(h, x, expo, singular, target):
-    """Seeds of doubling segments [x, 2x], [2x, 4x], ... for the tail of h.
-
-    They run out until the hinted remainder h(x) * x / (-expo - 1) past the
-    last one meets target, expo being h's hinted exponent at infinity.  A
-    zero h(x) ends them only when the segment just added integrates to 0
-    as well (compact support); with a non-integrable hint nothing else does.
-    Returns (seeds, remainder).
-    """
-    seeds = []
-    for _ in range(200):
-        segment = _callable_seeds(x, 2.0 * x, singular)
-        seeds += segment
-        x *= 2.0
-        hx = abs(h(x))
-        if hx == 0.0:
-            if all(item[4] == 0.0 for item in _gk15_seeds(_batched(h), segment)):
-                return seeds, 0.0
-        elif expo < -1.0:
-            rem = hx * x / (-expo - 1.0)
-            if rem <= target:
-                return seeds, rem
-    raise NormDiverges("tail mass does not settle; hinted exponent too slow")
-
-
-def _callable_quad(fn, seeds, budget, rem=0.0):
-    """One error heap over the seeds of a black-box scalar integrand.
-
-    ``rem`` is a hinted remainder outside the seeds, half added to the value
-    and half to err, as in _integrate.  Twice the seed value of each
-    innermost band (region 1) goes into err as the estimate of the sliver
-    the bands leave uncovered.
-    """
-    batched = _batched(fn)
-    segs = _gk15_seeds(batched, seeds)
-    sliver = 2.0 * sum(abs(item[4]) for item in segs if item[1] == 1)
-    value, err, _ = _adaptive(batched, segs, budget, (0.5 * rem, 0.5 * rem))
-    return value, err + sliver
-
-
 def _quad_with_singularities(fn, a, b, singular, budget):
-    """Integral of fn over [a, b], seeded as in _callable_seeds, in one heap.
+    """(value, err) of the integral of a black-box scalar fn over [a, b].
 
-    Oracle-grade: the whole budget goes to one _adaptive call, and the
-    innermost band next to each singular point is carried as the sliver
-    estimate.
+    QUADPACK qagp with the singular points inside as breakpoints, asking for
+    max(budget, _REL_FLOOR * |value|).  An infinite b is split at far =
+    max(1, a, 2 * the largest singular point above a): qagp up to far, qagi
+    beyond, each on half the budget.  err gets 1e-16 * |value| and what an
+    unlisted jump past far shows: how far the tail split again at 2 * far
+    differs past both errs.  A part QUADPACK calls divergent, or any flagged
+    tail, raises NormDiverges.
     """
-    return _callable_quad(fn, _callable_seeds(a, b, singular), budget)
+    from scipy.integrate import quad
+
+    def part(lo, hi, share):
+        points = sorted({s for s in singular if lo < s < hi})
+        value, err, _, *flag = quad(fn, lo, hi, points=points or None, epsabs=share,
+                                    epsrel=_REL_FLOOR, limit=50 * (len(points) + 1),
+                                    full_output=1)
+        if flag and (math.isinf(hi) or "divergent" in flag[0]):
+            raise NormDiverges(f"integral over ({lo}, {hi}): {flag[0].splitlines()[0]}")
+        return np.array([value, err])
+
+    if math.isinf(b):
+        far = max(1.0, a, *(2.0 * s for s in singular if s > a))
+        tail = part(far, b, 0.5 * budget)
+        check = part(far, 2.0 * far, 0.25 * budget) + part(2.0 * far, b, 0.25 * budget)
+        value, err = part(a, far, 0.5 * budget) + tail
+        err += max(0.0, abs(tail[0] - check[0]) - tail[1] - check[1])
+    else:
+        value, err = part(a, b, budget)
+    return float(value), float(err + 1e-16 * abs(value))
 
 
 def numeric_hardy(f: CallableFn, grid) -> CallableFn:
@@ -584,7 +531,9 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
     quadrature, interpolated by a monotone cubic (cumulative integrals of
     nonnegative integrands are monotone, and shape beats raw accuracy here),
     and divided by x.  Below the grid the hinted power is used; beyond it the
-    cumulative is frozen, which is exact for compactly supported inputs.
+    cumulative is frozen, which is exact for compactly supported inputs.  The
+    grid nodes are the output's singular points: the cubic's second
+    derivative jumps there.
     """
     if f.zero_exponent_hint <= -1.0:
         raise DivergentAtZero(
@@ -593,8 +542,8 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
         raise ValueError("grid must be an increasing sequence of positive reals")
-    sing = (0.0, *f.singular_points)  # the first cell is banded toward 0
-    cum = np.cumsum([_quad_with_singularities(f.evaluator, lo, hi, sing, 1e-12)[0]
+    cum = np.cumsum([_quad_with_singularities(f.evaluator, lo, hi,
+                                              f.singular_points, 1e-12)[0]
                      for lo, hi in zip([0.0, *g[:-1]], g)])
     from scipy.interpolate import PchipInterpolator
 
@@ -612,16 +561,17 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
             return float(interp(x)) / x
         return cum_last / x
 
-    return CallableFn(ev, (), tail_exponent_hint=-1.0, zero_exponent_hint=zh)
+    return CallableFn(ev, tuple(g.tolist()), tail_exponent_hint=-1.0,
+                      zero_exponent_hint=zh)
 
 
 def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
     """Tabulated dual average: backward cumulative of f(t)/t, interpolated.
 
-    The tail beyond the last node is one error heap over doubling segments
-    with a hint-based remainder estimate, as in lp_norm_callable; a
-    nonnegative hint is accepted only when the function actually vanishes
-    out there (compact support).
+    A nonnegative tail hint is accepted only when the function actually
+    vanishes past the grid (compact support).  Below the first node g0, f is
+    continued as f(g0) * (x/g0)**a, a the zero hint.  The grid nodes are the
+    output's singular points: the cubic's second derivative jumps there.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
@@ -633,70 +583,48 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
                 f"hinted tail exponent {f.tail_exponent_hint} is not integrable"
             )
     over_t = lambda t: f.evaluator(t) / t
-    seeds, rem = _tail_seeds(over_t, g_last, f.tail_exponent_hint - 1.0,
-                             f.singular_points, 0.25e-12)
-    vals = np.zeros(len(g))
-    vals[-1] = _callable_quad(over_t, seeds, 1e-12, rem)[0]
-    for i in range(len(g) - 2, -1, -1):
-        v, _ = _quad_with_singularities(over_t, g[i], g[i + 1],
-                                        f.singular_points, 1e-12)
-        vals[i] = vals[i + 1] + v
+    vals = np.cumsum([_quad_with_singularities(over_t, lo, hi, f.singular_points,
+                                               1e-12)[0]
+                      for lo, hi in zip(g[::-1], [math.inf, *g[:0:-1]])])[::-1]
     from scipy.interpolate import PchipInterpolator
 
     interp = PchipInterpolator(g, vals)
     g0 = float(g[0])
     s0, s_last = float(vals[0]), float(vals[-1])
+    f0 = f.evaluator(g0)
+    zh = f.zero_exponent_hint
     th = min(f.tail_exponent_hint, 0.0)
 
     def ev(x: float) -> float:
         if x <= 0.0:
             raise ValueError("dual average is defined for x > 0 only")
-        if x < g0:
-            return s0
+        if x < g0:  # (1 - (x/g0)**zh) / zh, which is ln(g0/x) at zh = 0
+            return s0 + f0 * math.log(g0 / x) * float(exprel(zh * math.log(x / g0)))
         if x <= g_last:
             return float(interp(x))
         return s_last * (x / g_last) ** th
 
-    return CallableFn(ev, (), tail_exponent_hint=th,
-                      zero_exponent_hint=0.0)
+    return CallableFn(ev, tuple(g.tolist()), tail_exponent_hint=th,
+                      zero_exponent_hint=min(zh, 0.0))
 
 
 def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """Oracle-grade Lp norm of a black-box nonnegative function.
 
-    Integrability at the ends is decided from the exponent hints.  The zero
-    end, the middle and the tail share one error heap with the whole budget:
-    bands of ratio 1/4 shrink toward 0 until the hinted remainder
-    g(d)**p * d / (zero hint * p + 1) meets tol / 4 at a d below the anchor
-    where g is nonzero (or at the ulp of the anchor), the middle is seeded
-    as in _quad_with_singularities, and doubling segments run out until
-    the hinted tail remainder meets tol / 4.  Half of each remainder goes to
-    the value and half to err.  Error estimates come from the quadrature
-    pair and these hint-based remainders, so this is a cross-check tool,
-    not a bound certificate.
+    Integrability at zero is decided up front from the zero hint; the
+    integral of g**p over (0, inf) is _quad_with_singularities'.  Error
+    estimates come from the quadrature rules, so this is a cross-check
+    tool, not a bound certificate.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
-    zp = f.zero_exponent_hint * p + 1.0
-    if zp <= 0.0:
+    if f.zero_exponent_hint * p + 1.0 <= 0.0:
         raise NormDiverges("norm diverges at zero by the hinted exponent")
     gp = lambda x: max(f.evaluator(x), 0.0) ** p
-    positive_sing = [s for s in f.singular_points if s > 0.0]
-    anchor = min(1.0, *(s / 2.0 for s in positive_sing)) if positive_sing else 1.0
-    far = max(1.0, *(2.0 * s for s in positive_sing)) if positive_sing else 1.0
-    # the hint describes g near 0, not at the anchor, and a zero g(d) says
-    # nothing about (0, d): bands go on past both, a zero to the ulp
-    seeds = []
-    d = anchor
-    while True:
-        seeds.append((0, 0.25 * d, d))
-        d *= 0.25
-        gd = gp(d)
-        rem = gd * d / zp
-        if (rem <= tol / 4.0 and (gd > 0.0 or d <= 4e-16 * anchor)) or d <= 1e-280:
-            break
-    seeds += _callable_seeds(anchor, far, f.singular_points)
-    tail, rem_inf = _tail_seeds(gp, far, f.tail_exponent_hint * p,
-                                f.singular_points, tol / 4.0)
-    value, err = _callable_quad(gp, seeds + tail, tol, rem + rem_inf)
+    value, err = _quad_with_singularities(gp, 0.0, math.inf, f.singular_points, tol)
+    if err > max(tol, _REL_FLOOR * abs(value)):
+        raise NotConverged(
+            f"error budget {tol} not met (reached {err})",
+            partial=QuadResult(value, err, False),
+        )
     return _norm_from_power(value, err, p)

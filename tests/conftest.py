@@ -44,20 +44,3 @@ def evaluator_calls(monkeypatch):
     monkeypatch.setattr(norms, "_compile", compile_counted)
     return lambda: count
 
-
-@pytest.fixture
-def adaptive_calls(monkeypatch):
-    """Counts the error heaps (_adaptive calls) that norms runs during the test.
-
-    Returns a function giving the count so far.
-    """
-    count = 0
-    real = norms._adaptive
-
-    def counted(*args, **kwargs):
-        nonlocal count
-        count += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(norms, "_adaptive", counted)
-    return lambda: count

@@ -221,7 +221,8 @@ def test_import_leaves_scipy_interpolate_unloaded():
 
     src = os.path.dirname(os.path.dirname(hardylab.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import hardylab; "
-            "print('scipy.interpolate' in sys.modules)")
+            "print('scipy.interpolate' in sys.modules, "
+            "'scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]

@@ -7,6 +7,7 @@ from hardylab.extremal import (
     FamilyKind,
     SweepRecord,
     default_eps_grid,
+    eps_range,
     estimate_limit,
     family,
     limit_ratio,
@@ -116,6 +117,15 @@ class TestSweep:
         lim = limit_ratio(FamilyKind.STEP, p)
         gaps = [abs(r.ratio - lim) for r in records]
         assert gaps == sorted(gaps, reverse=True)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_kind_given_as_its_string(self, kind):
+        assert family(kind.value, 1e-3, 3.0) == family(kind, 1e-3, 3.0)
+        assert sweep(kind.value, 3.0, [1e-3]) == sweep(kind, 3.0, [1e-3])
+        assert paper_bounds(kind.value, 1e-3, 3.0) == paper_bounds(kind, 1e-3, 3.0)
+        assert limit_ratio(kind.value, 3.0) == limit_ratio(kind, 3.0)
+        assert eps_range(kind.value, 3.0) == eps_range(kind, 3.0)
+        assert default_eps_grid(kind.value, 3.0) == default_eps_grid(kind, 3.0)
 
     def test_estimate_limit_step_p3(self):
         records = sweep(FamilyKind.STEP, 3.0, [1e-2, 1e-3, 1e-4])
