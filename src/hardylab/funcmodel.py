@@ -34,7 +34,7 @@ LOG_POWER_CAP = 8
 #: Atom coefficients below this magnitude are dropped during term collection.
 COEF_FLOOR = 1e-300
 
-#: Default tolerance for sampled sign and monotonicity checks.
+#: Default tolerance for the sign and monotonicity checks.
 TOL_EVAL = 1e-9
 
 _SAMPLES_PER_PIECE = 256
@@ -112,9 +112,9 @@ def atoms_value(atoms, x: float) -> float:
 class PiecewiseFn:
     """A validated piecewise power-log function on (0, inf).
 
-    ``nonneg`` records that nonnegativity has been certified, either by dense
-    sampling at construction time or analytically (the averaging operators
-    preserve nonnegativity).
+    ``nonneg`` records that nonnegativity has been certified, either at
+    construction time (see make_piecewise) or analytically (the averaging
+    operators preserve nonnegativity).
     """
 
     breakpoints: tuple[float, ...]
@@ -136,9 +136,10 @@ def make_piecewise(breakpoints, pieces, require_nonneg: bool = False) -> Piecewi
     one atom list per interval (atoms may be PowerLogAtom instances, (c, a, k)
     tuples, or {"c","a","k"} mappings).  With ``require_nonneg`` a piece
     whose atoms all have c > 0 and an even log power is nonnegative term by
-    term; every other piece is sampled densely and NegativityDetected is
-    raised if any sample falls below -TOL_EVAL (scaled), since nonnegativity
-    of mixed-sign atom sums is not decidable symbolically.
+    term; a log-free piece with integer exponents, mixed signs included, is
+    checked exactly at its critical points; every other piece is sampled
+    densely.  NegativityDetected is raised if a checked value falls below
+    -TOL_EVAL (scaled); see _certify_nonneg.
     """
     bps = tuple(float(b) for b in breakpoints)
     if len(bps) < 2 or bps[0] != 0.0 or not math.isinf(bps[-1]):
@@ -163,32 +164,92 @@ def make_piecewise(breakpoints, pieces, require_nonneg: bool = False) -> Piecewi
     return f
 
 
-def piece_samples(lo: float, hi: float, n: int = _SAMPLES_PER_PIECE) -> np.ndarray:
-    """Log-spaced sample points inside (lo, hi], endpoint-adjacent included."""
+def _sample_range(lo: float, hi: float) -> tuple[float, float]:
+    """Ends of the checked part of the piece (lo, hi].
+
+    lo is moved just inside (hi * 1e-12 when lo is 0); an unbounded piece is
+    cut at max(1, lo) * 1e9.
+    """
     if math.isinf(hi):
         hi = max(1.0, lo) * 1e9
-    if lo <= 0.0:
-        lo_eff = hi * 1e-12
-    else:
-        lo_eff = lo * (1.0 + 1e-12)
+    return (hi * 1e-12 if lo <= 0.0 else lo * (1.0 + 1e-12)), hi
+
+
+def piece_samples(lo: float, hi: float, n: int = _SAMPLES_PER_PIECE) -> np.ndarray:
+    """Log-spaced sample points inside (lo, hi], endpoint-adjacent included."""
+    lo_eff, hi = _sample_range(lo, hi)
     base = np.geomspace(lo_eff, hi, n)
     extra = np.array([lo_eff, hi * (1.0 - 1e-12)])
     return np.unique(np.concatenate([base, extra]))
 
 
+def _atom_arrays(atoms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, exponents and log powers of a nonempty atom list."""
+    c, a, k = np.array([(at.coef, at.exponent, at.log_power) for at in atoms]).T
+    return c, a, k
+
+
+def _sum_at(c, a, k, xs: np.ndarray) -> np.ndarray:
+    """sum(c * x**a * ln(x)**k) over the atom arrays, at every point of xs.
+
+    A term that overflows is ±inf, as in PowerLogAtom.value_at.
+    """
+    x = xs[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (c * x ** a * np.log(x) ** k).sum(axis=1)
+
+
+def _check_points(lo: float, hi: float, w, a, k, n: int) -> np.ndarray:
+    """Points of the piece (lo, hi] at which to check sum(w * x**a * ln(x)**k).
+
+    For log-free terms with integer exponents these are the two ends of
+    piece_samples' range and the critical points between them: the real
+    roots of the polynomial sum(a * w * x**(a - min a)).  A continuous
+    function takes its largest and smallest values on a closed interval at
+    an end or a critical point, so these points decide a bound on the whole
+    range.  The real part of every root is kept if it falls inside, however
+    large its imaginary part: a point too many never loosens a check.  Terms
+    with logs or non-integer exponents, a polynomial of degree above n
+    (np.roots builds a degree-squared companion matrix) and one whose
+    coefficients overflow get piece_samples(lo, hi, n) instead.
+    """
+    top, low = a.max(), a.min()
+    if not k.any() and (a == np.round(a)).all() and top - low <= n:
+        poly = np.zeros(int(top - low) + 1)
+        with np.errstate(over="ignore"):
+            poly[(top - a).astype(int)] = a * w
+        if np.isfinite(poly).all():
+            lo_eff, hi = _sample_range(lo, hi)
+            hi_eff = hi * (1.0 - 1e-12)
+            roots = np.roots(poly).real
+            inside = roots[(roots > lo_eff) & (roots < hi_eff)]
+            return np.unique(np.concatenate([[lo_eff, hi_eff], inside]))
+    return piece_samples(lo, hi, n)
+
+
 def _certify_nonneg(f: PiecewiseFn, tol: float = TOL_EVAL) -> None:
+    """Raise NegativityDetected unless every piece of f is nonnegative.
+
+    A piece whose atoms all have c > 0 and an even log power is nonnegative
+    term by term.  Any other piece is refused if its value at one of its
+    _check_points falls below -tol * max(1, largest |value| there).  On a
+    log-free piece with integer exponents those points hold the piece's
+    smallest and largest values, so the certificate is exact on the whole
+    checked range; other pieces are sampled at 256 points.
+    """
     for i, atoms in enumerate(f.pieces):
         if all(at.coef > 0.0 and at.log_power % 2 == 0 for at in atoms):
             continue  # every atom is >= 0 on (0, inf): an exact certificate
-        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
-        xs = piece_samples(lo, hi)
-        vals = [atoms_value(atoms, x) for x in xs]
-        scale = max(1.0, max(abs(v) for v in vals))
-        for x, v in zip(xs, vals):
-            if v < -tol * scale:
-                raise NegativityDetected(
-                    f"function evaluates to {v} < 0 at x={x}", x=x, value=v
-                )
+        c, a, k = _atom_arrays(atoms)
+        xs = _check_points(f.breakpoints[i], f.breakpoints[i + 1], c, a, k,
+                           _SAMPLES_PER_PIECE)
+        vals = _sum_at(c, a, k, xs)
+        bad = np.flatnonzero(vals < -tol * max(1.0, np.abs(vals).max()))
+        if bad.size:
+            x, v = float(xs[bad[0]]), float(vals[bad[0]])
+            raise NegativityDetected(
+                f"function evaluates to {v} < 0 at x={x}", x=x, value=v
+            )
 
 
 def piece_index(f: PiecewiseFn, x: float) -> int:
@@ -261,22 +322,30 @@ def right_value(f: PiecewiseFn, i: int) -> float:
 
 
 def is_nonincreasing(f: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
-    """Sampled monotonicity check.
+    """Monotonicity check, exact on log-free pieces with integer exponents.
 
-    True iff x*f'(x) stays below tol (scaled by |f|) at interior samples and
-    f does not jump upward at any breakpoint.  The x-weighting makes the test
-    invariant under dilation and coefficient scaling.
+    True iff x*f'(x) stays below tol * max(1, |f(x)|) at the _check_points
+    of every piece and f does not jump upward at any breakpoint.  The
+    x-weighting makes the test invariant under dilation and coefficient
+    scaling.  A log-free piece whose atoms all have a*c <= 0 is
+    nonincreasing term by term and needs no points.  On any other log-free
+    piece with integer exponents the points include where x*f'(x) is largest
+    on the checked range, so a rise anywhere on it shows there.  Pieces with
+    log atoms or mixed-sign non-integer exponents are sampled at 128 points.
     """
-    d = derivative(f)
     for i, atoms in enumerate(f.pieces):
-        datoms = d.pieces[i]
-        if not datoms:
-            continue
-        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
-        for x in piece_samples(lo, hi, 128):
-            slope = atoms_value(datoms, x)
-            if slope * x > tol * max(1.0, abs(atoms_value(atoms, x))):
-                return False
+        if all(at.log_power == 0 and at.exponent * at.coef <= 0.0 for at in atoms):
+            continue  # every atom is nonincreasing on (0, inf): an exact certificate
+        c, a, k = _atom_arrays(atoms)
+        # x * (c x^a ln^k x)' = a c x^a ln^k x + k c x^a ln^(k-1) x
+        logs = k > 0
+        qc = np.concatenate([a * c, k[logs] * c[logs]])
+        qa = np.concatenate([a, a[logs]])
+        qk = np.concatenate([k, k[logs] - 1.0])
+        xs = _check_points(f.breakpoints[i], f.breakpoints[i + 1], qc, qa, qk, 128)
+        slopes = _sum_at(qc, qa, qk, xs)
+        if (slopes > tol * np.maximum(1.0, np.abs(_sum_at(c, a, k, xs)))).any():
+            return False
     for i in range(1, len(f.breakpoints) - 1):
         lv, rv = left_value(f, i), right_value(f, i)
         if rv > lv + tol * max(1.0, abs(lv), abs(rv)):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadExponent, DegenerateInput, NotMonotone
-from .funcmodel import PiecewiseFn, _certify_nonneg, is_nonincreasing
+from .errors import BadExponent, DegenerateInput
+from .funcmodel import PiecewiseFn, _certify_nonneg
 from .norms import DEFAULT_TOL, QuadResult, lp_norm
 from .operators import dual_hardy, hardy, hardy_minus_identity
 
@@ -191,8 +191,6 @@ def verify_theorem2(phi: PiecewiseFn, p: float,
     equivalence the duality module demonstrates.
     """
     bounds = sharp_constants(p)
-    if not is_nonincreasing(phi):
-        raise NotMonotone("phi must be nonincreasing")
     diff = hardy_minus_identity(phi)
     num = lp_norm(phi, p, tol)
     den = lp_norm(diff, p, tol)

@@ -1,6 +1,6 @@
 import pytest
 
-from hardylab import norms
+from hardylab import funcmodel, norms
 
 
 @pytest.fixture
@@ -19,6 +19,26 @@ def gk15_calls(monkeypatch):
         return real(fn, reg, a, b)
 
     monkeypatch.setattr(norms, "_gk15", counted)
+    return lambda: count
+
+
+@pytest.fixture
+def piece_samples_calls(monkeypatch):
+    """Counts the calls of funcmodel.piece_samples during the test.
+
+    Each call is one piece that a sign or monotonicity check sampled on a
+    grid rather than deciding at its critical points.  Returns a function
+    giving the count so far.
+    """
+    count = 0
+    real = funcmodel.piece_samples
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(funcmodel, "piece_samples", counted)
     return lambda: count
 
 

@@ -1,8 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab.cli import FuzzConfig, function_to_dsl, fuzz_generate, parse_function_spec
+from hardylab.duality import mollify
 from hardylab.errors import (
     LogPowerCapExceeded,
     MalformedPartition,
@@ -19,6 +22,7 @@ from hardylab.funcmodel import (
     evaluate,
     is_nonincreasing,
     make_piecewise,
+    piece_samples,
     scale,
 )
 
@@ -27,6 +31,41 @@ INF = math.inf
 
 def chi01():
     return make_piecewise([0, 1, INF], [[(1, 0, 0)], []])
+
+
+def between_samples() -> float:
+    """A point of (1, 2] halfway between two of its 128 grid samples."""
+    xs = piece_samples(1, 2, 128)
+    return math.sqrt(xs[60] * xs[61])
+
+
+def poly_phi(terms):
+    """The sum of w*(b-x)**d on (0, b] over the terms (w, b, d), one
+    polynomial piece between consecutive b."""
+    cuts = sorted({b for _, b, _ in terms})
+    pieces = []
+    for hi in cuts:
+        poly = [0.0, 0.0, 0.0]
+        for w, b, d in terms:
+            if b >= hi:
+                for j in range(d + 1):
+                    poly[j] += w * math.comb(d, j) * b ** (d - j) * (-1) ** j
+        pieces.append([(c, j, 0) for j, c in enumerate(poly) if c != 0.0])
+    return make_piecewise([0.0, *cuts, INF], pieces + [[]])
+
+
+def reflect_piece(phi):
+    """phi with its first nonconstant piece mirrored about its value at an
+    inner point x0, as 2*phi(x0) - phi: increasing there, and still without
+    an upward jump, so only the piece check can refuse it."""
+    i = next(i for i, piece in enumerate(phi.pieces)
+             if any(at.exponent != 0.0 or at.log_power for at in piece))
+    lo, hi = phi.breakpoints[i], phi.breakpoints[i + 1]
+    x0 = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+    pieces = list(phi.pieces)
+    pieces[i] = [(2.0 * atoms_value(phi.pieces[i], x0), 0, 0)] + [
+        (-at.coef, at.exponent, at.log_power) for at in phi.pieces[i]]
+    return make_piecewise(phi.breakpoints, pieces)
 
 
 class TestAtoms:
@@ -116,16 +155,42 @@ class TestMakePiecewise:
         with pytest.raises(NegativityDetected):
             make_piecewise([0, 1, INF], [piece, []], require_nonneg=True)
 
-    def test_positive_atoms_certified_without_sampling(self, monkeypatch):
-        import hardylab.funcmodel as funcmodel
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("piece was sampled")
-
-        monkeypatch.setattr(funcmodel, "piece_samples", no_sampling)
+    def test_positive_atoms_certified_without_sampling(self, piece_samples_calls):
         f = make_piecewise([0, 1, INF], [[(2, 0.5, 0), (1, -1, 2)], [(3, -2, 0)]],
                            require_nonneg=True)
         assert f.nonneg
+        assert piece_samples_calls() == 0
+
+    def test_dip_between_samples_refused(self):
+        # (x - r)**2 - 1e-8 is below -1e-9 only within 1e-4 of r
+        r = between_samples()
+        dip = [(1, 2, 0), (-2 * r, 1, 0), (r * r - 1e-8, 0, 0)]
+        with pytest.raises(NegativityDetected):
+            make_piecewise([0, 1, 2, INF], [[], dip, []], require_nonneg=True)
+
+    def test_mixed_sign_polynomial_certified_without_sampling(self, piece_samples_calls):
+        # 1 - x on (0, 1], (x - 1.5)**2 on (1, 2]
+        f = make_piecewise([0, 1, 2, INF],
+                           [[(1, 0, 0), (-1, 1, 0)], [(2.25, 0, 0), (-3, 1, 0), (1, 2, 0)], []],
+                           require_nonneg=True)
+        assert f.nonneg
+        assert piece_samples_calls() == 0
+
+    def test_overflowing_polynomial_sampled(self, piece_samples_calls):
+        # 1e308 * (1 - x**2) on (0, 1]: the derivative's coefficient -2e308
+        # overflows, so the piece is sampled, not handed to np.roots
+        f = make_piecewise([0, 1, INF], [[(1e308, 0, 0), (-1e308, 2, 0)], []],
+                           require_nonneg=True)
+        assert f.nonneg
+        assert piece_samples_calls() == 1
+
+    def test_log_pieces_still_sampled(self, piece_samples_calls):
+        # -ln x on (0, 1]
+        minus_log = [[(-1, 0, 1)], []]
+        assert make_piecewise([0, 1, INF], minus_log, require_nonneg=True).nonneg
+        assert piece_samples_calls() == 1
+        assert is_nonincreasing(make_piecewise([0, 1, INF], minus_log))
+        assert piece_samples_calls() == 2
 
     def test_step_family_member(self):
         eps = 0.25
@@ -238,3 +303,39 @@ class TestMonotone:
     def test_upward_jump_rejected(self):
         f = make_piecewise([0, 1, INF], [[(1, 0, 0)], [(2, -1, 0)]])
         assert not is_nonincreasing(f)
+
+    def test_rise_between_samples_rejected(self):
+        # phi = 5 - (x - r)**3 / 3 + 1e-8 * (x - r) on (1, 2]: x*phi' reaches
+        # 1.39e-8 at r, above 1e-9 * phi(r), but stays below it 1e-4 away
+        r = between_samples()
+        rise = [(-1 / 3, 3, 0), (r, 2, 0), (1e-8 - r * r, 1, 0),
+                (r ** 3 / 3 - 1e-8 * r + 5, 0, 0)]
+        at_one = sum(c for c, _, _ in rise)
+        phi = make_piecewise([0, 1, 2, INF], [[(at_one, 0, 0)], rise, []])
+        assert not is_nonincreasing(phi)
+
+    @pytest.mark.parametrize("build", [
+        lambda: mollify(parse_function_spec("chi(0,1)+chi(0,3)"), 4),
+        lambda: parse_function_spec(json.dumps(function_to_dsl(
+            poly_phi([(1.3, 0.8, 2), (0.5, 2.5, 2), (2.0, 4.1, 1)])))),
+    ], ids=["mollified-steps", "quadratic-json"])
+    def test_polynomial_phi_certified_without_sampling(self, build, piece_samples_calls):
+        assert is_nonincreasing(build())
+        assert piece_samples_calls() == 0
+
+    @given(terms=st.lists(st.tuples(st.floats(0.2, 3.0), st.floats(0.3, 5.0),
+                                    st.integers(0, 2)), min_size=1, max_size=4),
+           n=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_phi_and_its_mollification(self, terms, n):
+        phi = poly_phi(terms)
+        for g in (phi, mollify(phi, n)):
+            assert is_nonincreasing(g)
+            if any(at.exponent != 0.0 for piece in g.pieces for at in piece):
+                assert not is_nonincreasing(reflect_piece(g))
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_fuzz_monotone_phi(self, seed):
+        phi = fuzz_generate(FuzzConfig(seed=seed, monotone=True))
+        assert is_nonincreasing(phi)
+        assert not is_nonincreasing(reflect_piece(phi))
