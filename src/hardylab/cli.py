@@ -44,7 +44,7 @@ from .extremal import (
     sweep,
     sweep_to_csv,
 )
-from .funcmodel import PiecewiseFn, add, make_piecewise
+from .funcmodel import PiecewiseFn, make_piecewise
 from .norms import lp_norm
 from .operators import dual_hardy, hardy, hardy_minus_identity
 from .verify import (
@@ -65,20 +65,10 @@ _AUTO_MOLLIFY_N = 1024
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Deterministic generator settings for one fuzz case.
-
-    The exponent ranges guarantee that every generated f admits both
-    operators and has finite norms over the whole verification p-grid:
-    the piece adjoining zero stays integrable (a > -1 comfortably), the
-    unbounded piece decays strictly faster than 1/x**1.1, and middle pieces
-    stay clear of the a = -1 antiderivative blow-up.
-    """
+    """Deterministic generator settings for one fuzz case; see fuzz_generate."""
 
     seed: int
     n_pieces: int | None = None  # bounded pieces; drawn from [1, 6] when None
-    exponent_range_zero: tuple[float, float] = (0.0, 2.0)
-    exponent_range_tail: tuple[float, float] = (-3.0, -1.1)
-    coef_range: tuple[float, float] = (0.1, 10.0)
     monotone: bool = False
 
     def __post_init__(self):
@@ -89,9 +79,12 @@ class FuzzConfig:
 def fuzz_generate(config: FuzzConfig) -> PiecewiseFn:
     """A random admissible function, a bit-exact function of the config.
 
-    General mode: random breakpoints in (0.1, 10), one power atom per piece,
-    exponents drawn from the zero range on the first piece, the tail range
-    on the unbounded piece (empty half the time), and (-0.9, 2) in between.
+    General mode: random breakpoints in (0.1, 10) and one atom c * x**a per
+    piece, c in (0.1, 10), a in (0, 2) on the first piece, (-3, -1.1) on the
+    unbounded piece (empty half the time) and (-0.9, 2) in between.  So f
+    admits both operators with finite norms over the whole p-grid: it is
+    integrable at zero, decays faster than 1/x**1.1, and stays clear of the
+    a = -1 antiderivative blow-up.
     Monotone mode: the dual average of such a density, which is continuous,
     nonincreasing, and vanishes at infinity by construction.
     """
@@ -102,15 +95,15 @@ def fuzz_generate(config: FuzzConfig) -> PiecewiseFn:
     pieces = []
     for i in range(n + 1):
         if i == 0:
-            a = rng.uniform(*config.exponent_range_zero)
+            a = rng.uniform(0.0, 2.0)
         elif i == n:
             if rng.random() < 0.5:
                 pieces.append([])
                 continue
-            a = rng.uniform(*config.exponent_range_tail)
+            a = rng.uniform(-3.0, -1.1)
         else:
             a = rng.uniform(-0.9, 2.0)
-        c = rng.uniform(*config.coef_range)
+        c = rng.uniform(0.1, 10.0)
         pieces.append([(c, a, 0)])
     f = make_piecewise(bps, pieces, require_nonneg=True)
     if config.monotone:
@@ -126,29 +119,10 @@ _TERM_RE = re.compile(r"(chi|pow)\s*\(([^()]*)\)\s*$")
 
 def _parse_number(token: str, position: int) -> float:
     token = token.strip()
-    if token in ("inf", "Inf", "INF", "Infinity", "infinity"):
-        return math.inf
     try:
         return float(token)
     except ValueError:
         raise ParseError(f"expected a number, got {token!r}", position=position)
-
-
-def _single_piece(atom, lo: float, hi: float, position: int) -> PiecewiseFn:
-    if not 0.0 <= lo < hi:
-        raise ParseError(f"need 0 <= l < r, got l={lo}, r={hi}", position=position)
-    bps = [0.0]
-    pieces = []
-    if lo > 0.0:
-        bps.append(lo)
-        pieces.append([])
-    if math.isinf(hi):
-        bps.append(math.inf)
-        pieces.append([atom])
-    else:
-        bps.extend([hi, math.inf])
-        pieces.extend([[atom], []])
-    return make_piecewise(bps, pieces)
 
 
 def _parse_json_spec(text: str) -> PiecewiseFn:
@@ -158,8 +132,12 @@ def _parse_json_spec(text: str) -> PiecewiseFn:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos)
     if not isinstance(obj, dict) or "breakpoints" not in obj or "pieces" not in obj:
         raise ParseError("JSON spec needs 'breakpoints' and 'pieces'", position=0)
-    bps = [math.inf if isinstance(b, str) else float(b) for b in obj["breakpoints"]]
-    return make_piecewise(bps, obj["pieces"])
+    try:
+        bps = [_parse_number(b, 0) if isinstance(b, str) else float(b)
+               for b in obj["breakpoints"]]
+        return make_piecewise(bps, obj["pieces"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed JSON spec: {exc}") from None
 
 
 def parse_function_spec(text: str) -> PiecewiseFn:
@@ -169,7 +147,7 @@ def parse_function_spec(text: str) -> PiecewiseFn:
         raise ParseError("empty function spec", position=0)
     if stripped.startswith("{"):
         return _parse_json_spec(stripped)
-    total: PiecewiseFn | None = None
+    terms = []
     position = 0
     for term in text.split("+"):
         m = _TERM_RE.match(term.strip())
@@ -182,14 +160,21 @@ def parse_function_spec(text: str) -> PiecewiseFn:
         if name == "chi":
             if len(args) != 2:
                 raise ParseError("chi takes (l, r)", position=position)
-            piece = _single_piece((1.0, 0.0, 0), args[0], args[1], position)
-        else:
-            if len(args) != 3:
-                raise ParseError("pow takes (a, l, r)", position=position)
-            piece = _single_piece((1.0, args[0], 0), args[1], args[2], position)
-        total = piece if total is None else add(total, piece)
+            args = [0.0, *args]
+        elif len(args) != 3:
+            raise ParseError("pow takes (a, l, r)", position=position)
+        a, lo, hi = args
+        if not 0.0 <= lo < hi:
+            raise ParseError(f"need 0 <= l < r, got l={lo}, r={hi}", position=position)
+        if not math.isfinite(a):
+            raise ParseError(f"need a finite exponent, got a={a}", position=position)
+        terms.append(((1.0, a, 0), lo, hi))
         position += len(term) + 1
-    return total
+    # one partition for the sum; each piece holds the atom of every term covering it
+    bps = sorted({0.0, math.inf}.union(*((lo, hi) for _, lo, hi in terms)))
+    pieces = [[atom for atom, lo, hi in terms if lo <= b0 and b1 <= hi]
+              for b0, b1 in zip(bps, bps[1:])]
+    return make_piecewise(bps, pieces)
 
 
 def function_to_dsl(f: PiecewiseFn) -> dict:
@@ -224,14 +209,10 @@ def _cmd_norm(args) -> int:
     f = parse_function_spec(args.function)
     try:
         res = lp_norm(f, args.p, args.tol)
-    except NotConverged as exc:
-        print(f"quadrature did not converge: {exc}", file=sys.stderr)
-        return 2
     except NormDiverges as exc:
         _emit({"p": args.p, "diverges": True, "detail": str(exc)})
         return 0
-    _emit({"p": args.p, "value": res.value, "err": res.err,
-           "converged": res.converged})
+    _emit({"p": args.p, "value": res.value, "err": res.err, "converged": True})
     return 0
 
 
@@ -327,11 +308,7 @@ def _cmd_fuzz(args) -> int:
         "inconclusive": counts[Verdict.INCONCLUSIVE],
         "first_failure": first_failure,
     })
-    if counts[Verdict.VIOLATED]:
-        return 1
-    if counts[Verdict.INCONCLUSIVE]:
-        return 2
-    return 0
+    return _exit_from_verdicts([v for v in Verdict if counts[v]])
 
 
 def _positive_float(text: str) -> float:
@@ -339,6 +316,12 @@ def _positive_float(text: str) -> float:
     if not v > 0.0:
         raise argparse.ArgumentTypeError("must be positive")
     return v
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return int(text)
 
 
 def _exponent(text: str) -> float:
@@ -398,11 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fuzz", help="seeded property suite over random inputs")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--count", type=int, default=20)
+    sp.add_argument("--count", type=_count, default=20)
     sp.add_argument("--monotone", action="store_true")
     sp.add_argument("-p", type=_exponent, action="append",
                     help="exponent (repeatable; default: the verification grid)")
-    sp.add_argument("--tol", type=_positive_float, default=1e-9)
+    add_common(sp, function=False)
     sp.set_defaults(fn=_cmd_fuzz)
     return parser
 

@@ -41,18 +41,18 @@ from .norms import DEFAULT_TOL, lp_norm
 from .operators import cumulative_integral, dual_hardy, hardy, hardy_minus_identity
 
 
-def _first_jump(phi: PiecewiseFn, tol: float) -> float | None:
+def _first_jump(phi: PiecewiseFn) -> float | None:
     """The first interior breakpoint where phi is discontinuous, or None."""
     for i in range(1, len(phi.breakpoints) - 1):
         lv, rv = left_value(phi, i), right_value(phi, i)
-        if abs(lv - rv) > tol * max(1.0, abs(lv), abs(rv)):
+        if abs(lv - rv) > TOL_EVAL * max(1.0, abs(lv), abs(rv)):
             return phi.breakpoints[i]
     return None
 
 
-def has_jumps(phi: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
+def has_jumps(phi: PiecewiseFn) -> bool:
     """True when phi is discontinuous at some interior breakpoint."""
-    return _first_jump(phi, tol) is not None
+    return _first_jump(phi) is not None
 
 
 def _check_decay(phi: PiecewiseFn) -> None:
@@ -73,7 +73,7 @@ def phi_to_f(phi: PiecewiseFn) -> PiecewiseFn:
     if not is_nonincreasing(phi):
         raise NotMonotone("phi must be nonincreasing")
     _check_decay(phi)
-    jump = _first_jump(phi, TOL_EVAL)
+    jump = _first_jump(phi)
     if jump is not None:
         raise JumpDiscontinuity(f"phi jumps at x={jump}; mollify first", x=jump)
     d = derivative(phi)

@@ -46,8 +46,8 @@ class NormDiverges(HardyLabError):
 class NotConverged(HardyLabError):
     """Quadrature could not meet its error budget within the subdivision cap.
 
-    Carries the best-effort partial result (a QuadResult with converged=False)
-    when one is available.
+    Carries the best-effort partial result (a QuadResult whose err misses
+    the budget) when one is available.
     """
 
     def __init__(self, message, partial=None):
@@ -83,8 +83,9 @@ class NoDecayAtInfinity(HardyLabError):
     """The function does not tend to 0 at infinity."""
 
 
-class NotRepresentable(HardyLabError):
-    """The exact result of an operation leaves the power-log atom algebra."""
+class NotRepresentable(HardyLabError, ValueError):
+    """The exact result of an operation leaves the power-log atom algebra,
+    or an atom's coefficient or exponent is not finite (say, it overflowed)."""
 
 
 class EquivalenceViolated(HardyLabError):

@@ -152,16 +152,14 @@ def _one_record(kind: FamilyKind, eps: float, p: float, tol: float) -> SweepReco
     f = family(kind, eps, p)
     sand_h, sand_s = paper_bounds(kind, eps, p)
     converged = True
-    try:
-        nh = lp_norm(hardy(f), p, tol)
-    except NotConverged as exc:
-        nh = exc.partial or QuadResult(math.nan, math.inf, False)
-        converged = False
-    try:
-        ns = lp_norm(dual_hardy(f), p, tol)
-    except NotConverged as exc:
-        ns = exc.partial or QuadResult(math.nan, math.inf, False)
-        converged = False
+    norms = []
+    for g in (hardy(f), dual_hardy(f)):
+        try:
+            norms.append(lp_norm(g, p, tol))
+        except NotConverged as exc:
+            norms.append(exc.partial or QuadResult(math.nan, math.inf))
+            converged = False
+    nh, ns = norms
     if kind is FamilyKind.INFINITY_SINGULAR:
         ratio = ns.value / nh.value
         num_sand = sand_s

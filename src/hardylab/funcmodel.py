@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LogPowerCapExceeded, MalformedPartition, NegativityDetected
+from .errors import (LogPowerCapExceeded, MalformedPartition, NegativityDetected,
+                     NotRepresentable)
 
 #: Hard cap on ln-powers; each averaging step raises k by at most one, so the
 #: cap bounds coefficient growth in the integration-by-parts recurrence.
@@ -50,7 +51,7 @@ class PowerLogAtom:
 
     def __post_init__(self):
         if not (math.isfinite(self.coef) and math.isfinite(self.exponent)):
-            raise ValueError("atom coefficient and exponent must be finite")
+            raise NotRepresentable("atom coefficient and exponent must be finite")
         k = self.log_power
         if k != int(k) or k < 0:
             raise ValueError("log_power must be a nonnegative integer")
@@ -72,16 +73,22 @@ class PowerLogAtom:
         return v
 
 
+_LONG_KEYS = {"c": "coef", "a": "exponent", "k": "log_power"}
+
+
 def as_atom(obj) -> PowerLogAtom:
-    """Coerce an atom given as PowerLogAtom, (c, a, k) tuple, or mapping."""
+    """Coerce an atom given as PowerLogAtom, (c, a[, k]) tuple, or mapping.
+
+    A mapping has the keys c, a, k or coef, exponent, log_power, a and k
+    defaulting to 0; one without c or with another key raises TypeError.
+    """
     if isinstance(obj, PowerLogAtom):
         return obj
     if isinstance(obj, dict):
-        return PowerLogAtom(obj.get("c", obj.get("coef", 0.0)),
-                            obj.get("a", obj.get("exponent", 0.0)),
-                            obj.get("k", obj.get("log_power", 0)))
-    c, a, *rest = obj
-    return PowerLogAtom(c, a, rest[0] if rest else 0)
+        fields = {"exponent": 0.0, "log_power": 0}
+        fields.update((_LONG_KEYS.get(key, key), v) for key, v in obj.items())
+        return PowerLogAtom(**fields)
+    return PowerLogAtom(*obj)
 
 
 def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:

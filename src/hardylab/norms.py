@@ -2,7 +2,7 @@
 
 The driver integrates products of powers of atom sums,
 
-    const * x**c0 * prod_j (sum of atoms_j)(x) ** q_j,
+    const * prod_j (sum of atoms_j)(x) ** q_j,
 
 which covers g**p for the norm itself as well as the two alternative
 integral identities (integration by parts, Fubini) used as cross-checks.
@@ -67,21 +67,21 @@ _REL_FLOOR = 1e-12
 
 _LN_HUGE = 700.0
 _E = math.e
+_MAX_INTERVALS = 4096  # segment cap of one adaptive heap
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """A numerical value with an absolute error bound.
 
-    For converged results the true quantity lies in [value - err, value + err]
-    up to the estimate quality of the Gauss/Kronrod pair; the bound is
-    validated by refinement (recomputing at tol/10 stays within err), not
-    certified by interval arithmetic.
+    The true quantity lies in [value - err, value + err] up to the estimate
+    quality of the Gauss/Kronrod pair; the bound is validated by refinement
+    (recomputing at tol/10 stays within err), not certified by interval
+    arithmetic.
     """
 
     value: float
     err: float
-    converged: bool = True
 
     def __post_init__(self):
         if self.err < 0.0:
@@ -155,16 +155,15 @@ def _gk15_seeds(fn, seeds) -> list[tuple]:
     return list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist()))
 
 
-def _adaptive(fn, segs, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
-              max_intervals: int = 4096) -> tuple[float, float, bool]:
+def _adaptive(fn, segs, budget: float, fixed: tuple[float, float]) -> tuple[float, float]:
     """Global adaptive bisection over the segments of all regions.
 
     ``segs`` come from _gk15_seeds; ``fixed`` is a (value, err) part known
     in closed form that counts toward the totals.  Each round pops the worst
     segments until the error left meets max(budget, _REL_FLOOR * |value|)
     and bisects them in one batch, until the interval cap or the floating
-    floor.  Returns (value, err, converged), re-summed in spatial order so
-    results do not depend on the schedule.
+    floor.  Returns (value, err), re-summed in spatial order so results do
+    not depend on the schedule.
     """
     heap = list(segs)
     heapq.heapify(heap)
@@ -173,7 +172,7 @@ def _adaptive(fn, segs, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
     while True:
         goal = max(budget, _REL_FLOOR * abs(value))
         popped = []
-        while err > goal and len(heap) + 2 * len(popped) < max_intervals:
+        while err > goal and len(heap) + 2 * len(popped) < _MAX_INTERVALS:
             neg_e, _, a, b, _ = heap[0]
             if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
                 break  # splitting is below double precision resolution
@@ -192,7 +191,7 @@ def _adaptive(fn, segs, budget: float, fixed: tuple[float, float] = (0.0, 0.0),
     heap.sort(key=lambda item: item[1:3])
     value = sum(item[4] for item in heap) + fixed[0]
     err = fixed[1] - sum(item[0] for item in heap)
-    return value, err, err <= max(budget, _REL_FLOOR * abs(value))
+    return value, err
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
@@ -223,10 +222,9 @@ def _doubling_seeds(t0: float, t1: float) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class _ProductIntegrand:
-    """const * x**x_power * prod_j (atom-sum_j)(x)**power_j on one piece."""
+    """const * prod_j (atom-sum_j)(x)**power_j on one piece."""
 
     const: float
-    x_power: float
     factors: tuple[tuple[tuple[PowerLogAtom, ...], float], ...]
 
 
@@ -245,9 +243,9 @@ def _compile(pis):
     tab = np.zeros((len(pis), 5, n_f, n_a))
     tab[:, 0, :, 1:] = -np.inf  # padding atoms; a padded factor is 1**0
     tab[:, 2:4] = 1.0
-    cols = np.zeros((len(pis), 4 + n_f))  # interior?, t sign, ln const, x power, powers
+    cols = np.zeros((len(pis), 4 + n_f))  # interior?, t sign, ln const, Jacobian, powers
     for i, pi in enumerate(pis):
-        cols[i, 2:4] = math.log(pi.const), pi.x_power
+        cols[i, 2] = math.log(pi.const)
         for j, (atoms, q) in enumerate(pi.factors):
             cols[i, 4 + j] = q
             for k, at in enumerate(atoms):
@@ -257,8 +255,7 @@ def _compile(pis):
     has_logs = tab[:, 4].any()
     tab, cols = np.repeat(tab, 3, axis=0), np.repeat(cols, 3, axis=0)
     kind = np.arange(len(cols)) % 3
-    cols[:, 0], cols[:, 1] = kind == 1, kind - 1
-    cols[:, 3] += kind != 1
+    cols[:, 0], cols[:, 1], cols[:, 3] = kind == 1, kind - 1, kind != 1
 
     def fn(reg, nodes):
         c = cols[reg].T[:, :, None]
@@ -295,7 +292,7 @@ def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float
     a_ext the extreme exponent of its factor.
     """
     log_m = math.log(pi.const)
-    expo = pi.x_power
+    expo = 0.0
     q = 0.0
     for atoms, power in pi.factors:
         exts = [a.exponent for a in atoms]
@@ -381,12 +378,13 @@ def _integrate(tasks, tol: float) -> tuple[float, float]:
         segs += _gk15_seeds(fn, seeds)
         seeds = []
     rem = sum(end[3] for end in ends)
-    value, err, ok = _adaptive(fn, segs, tol, (0.5 * rem, 0.5 * rem))
+    value, err = _adaptive(fn, segs, tol, (0.5 * rem, 0.5 * rem))
+    missed = err > max(tol, _REL_FLOOR * abs(value))
     err += 1e-16 * abs(value)
-    if not ok and err > max(tol, _REL_FLOOR * abs(value)):
+    if missed:
         raise NotConverged(
             f"error budget {tol} not met (reached {err})",
-            partial=QuadResult(value, err, False),
+            partial=QuadResult(value, err),
         )
     return value, err
 
@@ -423,7 +421,7 @@ def _norm_from_power(vp: float, ep: float, p: float) -> QuadResult:
         nerr = (vp - ep) ** (1.0 / p - 1.0) / p * ep
     else:
         nerr = max((vp + ep) ** (1.0 / p) - value, value)
-    return QuadResult(value, nerr, True)
+    return QuadResult(value, nerr)
 
 
 def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -438,12 +436,12 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
         raise BadExponent(f"p must exceed 1, got {p}")
     check_lp_defined(g, p)
     tasks = [
-        (_ProductIntegrand(1.0, 0.0, ((atoms, p),)),
+        (_ProductIntegrand(1.0, ((atoms, p),)),
          g.breakpoints[i], g.breakpoints[i + 1])
         for i, atoms in enumerate(g.pieces) if atoms
     ]
     if not tasks:
-        return QuadResult(0.0, 0.0, True)
+        return QuadResult(0.0, 0.0)
     vp, ep = _integrate(tasks, tol)
     return _norm_from_power(vp, ep, p)
 
@@ -453,13 +451,13 @@ def _identity_integral(f: PiecewiseFn, g: PiecewiseFn, const: float, p: float,
     """const * integral of f * g**(p-1) over (0, inf), for g = Hf or H*f."""
     check_lp_defined(g, p)
     tasks = [
-        (_ProductIntegrand(const, 0.0, ((atoms, 1.0), (g.pieces[i], p - 1.0))),
+        (_ProductIntegrand(const, ((atoms, 1.0), (g.pieces[i], p - 1.0))),
          f.breakpoints[i], f.breakpoints[i + 1])
         for i, atoms in enumerate(f.pieces) if atoms and g.pieces[i]
     ]
     if not tasks:
-        return QuadResult(0.0, 0.0, True)
-    return QuadResult(*_integrate(tasks, tol), True)
+        return QuadResult(0.0, 0.0)
+    return QuadResult(*_integrate(tasks, tol))
 
 
 def ip_via_parts(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -625,6 +623,6 @@ def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadR
     if err > max(tol, _REL_FLOOR * abs(value)):
         raise NotConverged(
             f"error budget {tol} not met (reached {err})",
-            partial=QuadResult(value, err, False),
+            partial=QuadResult(value, err),
         )
     return _norm_from_power(value, err, p)

@@ -102,10 +102,6 @@ def crude_constants(p: float) -> Constants:
 
 
 def _ratio_with_err(num: QuadResult, den: QuadResult) -> tuple[float, float]:
-    if den.value < DEGENERATE_NORM:
-        raise DegenerateInput(
-            "denominator norm is numerically zero; the ratio is undefined"
-        )
     ratio = num.value / den.value
     hi = (num.value + num.err) / max(den.value - den.err, 1e-300)
     lo = max(num.value - num.err, 0.0) / (den.value + den.err)

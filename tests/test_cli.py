@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardylab.cli import (
     FuzzConfig,
@@ -16,7 +17,7 @@ from hardylab.cli import (
     run,
 )
 from hardylab.errors import ParseError
-from hardylab.funcmodel import evaluate, is_nonincreasing
+from hardylab.funcmodel import add, evaluate, is_nonincreasing, make_piecewise
 from hardylab.verify import verify_crude
 
 INF = math.inf
@@ -67,6 +68,102 @@ class TestParse:
         f = parse_function_spec("chi(0,1)+pow(-2,1,inf)")
         g = parse_function_spec(json.dumps(function_to_dsl(f)))
         assert g == f
+
+
+def _spec(pieces, breakpoints=(0, 1, "inf")):
+    return json.dumps({"breakpoints": list(breakpoints), "pieces": pieces})
+
+
+class TestMalformedInput:
+    """Malformed specs and counts, and inputs whose exact result overflows,
+    exit 3 with a message, never a traceback or a silent reading."""
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "hardy", "-f", _spec([[], []], [0, [1], "inf"])],
+        ["apply", "hardy", "-f", _spec(5)],
+        ["apply", "hardy", "-f", _spec([[5], []])],
+        ["apply", "hardy", "-f", _spec([[{"c": "x", "a": 0}], []])],
+        ["apply", "hardy", "-f", _spec([[{"c": 1, "a": 0, "k": 0.5}], []])],
+        ["apply", "hardy", "-f", "pow(nan,0,1)"],
+        ["apply", "hardy", "-f", _spec([[]], [0, "abc"])],
+        ["apply", "hardy", "-f", _spec([[{"C": 1, "a": 0}], []])],
+        ["fuzz", "--seed", "1", "--count", "-3"],
+        # the average of x**1e300 on (0, 2] overflows its constant atom
+        ["apply", "hardy", "-f", "pow(1e300,0,2)"],
+    ], ids=["list-breakpoint", "pieces-number", "atom-number", "string-coef",
+            "fractional-k", "nan-exponent", "string-breakpoint", "unknown-key",
+            "negative-count", "overflowing-average"])
+    def test_exit_3(self, argv):
+        code, out, err = capture(argv)
+        assert code == 3
+        assert out == ""
+        assert ("error" in err) or ("NotRepresentable" in err)
+
+    scalar = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.sampled_from(["inf", "Inf", "abc", ""]))
+    json_value = st.recursive(
+        scalar,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["c", "a", "k", "coef", "C"]), inner,
+                          max_size=4),
+        max_leaves=12,
+    )
+    atom = st.dictionaries(st.sampled_from(["c", "a", "k", "coef", "exponent", "C"]),
+                           scalar, min_size=1, max_size=3) | json_value
+
+    @staticmethod
+    def _partition(cuts):
+        """A valid partition with one list of arbitrary atoms per piece."""
+        bps = [0, *sorted(set(cuts)), "inf"]
+        pieces = st.lists(st.lists(TestMalformedInput.atom, max_size=3),
+                          min_size=len(bps) - 1, max_size=len(bps) - 1)
+        return st.fixed_dictionaries({"breakpoints": st.just(bps), "pieces": pieces})
+
+    number = (st.integers(0, 4).map(str) | st.floats().map(repr)
+              | st.sampled_from(["inf", "-1", "nan", "1e400", "", "x"]))
+    term = st.one_of(
+        st.tuples(st.just("chi"), st.lists(number, min_size=2, max_size=2)),
+        st.tuples(st.just("pow"), st.lists(number, min_size=3, max_size=3)),
+        st.tuples(st.sampled_from(["chi", "pow ", "exp"]), st.lists(number, max_size=4)),
+    )
+
+    @given(text=st.one_of(
+        st.lists(st.floats(1e-3, 1e3), max_size=4).flatmap(_partition).map(json.dumps),
+        st.fixed_dictionaries({"breakpoints": json_value, "pieces": json_value})
+        .map(json.dumps),
+        st.lists(term, min_size=1, max_size=4)
+        .map(lambda terms: "+".join(f"{n}({','.join(a)})" for n, a in terms)),
+        st.text(max_size=30),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_run_never_raises(self, text):
+        assert capture(["apply", "hardy", "-f", text])[0] in (0, 3)
+
+
+class TestDslSum:
+    """A '+'-joined sum parses to the exact funcmodel.add fold of its terms,
+    each built alone."""
+
+    end = st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, INF])
+
+    @given(terms=st.lists(
+        st.tuples(st.sampled_from([None, -0.5, 0.0, 1.0, 2.0]), end, end)
+        .filter(lambda t: t[1] < t[2]),
+        min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_equals_fold(self, terms):
+        text = "+".join(f"chi({lo},{hi})" if a is None else f"pow({a},{lo},{hi})"
+                        for a, lo, hi in terms)
+        ref = None
+        for a, lo, hi in terms:
+            bps = sorted({0.0, lo, hi, INF})
+            atom = (1.0, 0.0 if a is None else a, 0)
+            term = make_piecewise(bps, [[atom] if lo <= b < hi else []
+                                        for b in bps[:-1]])
+            ref = term if ref is None else add(ref, term)
+        f = parse_function_spec(text)
+        assert (f.breakpoints, f.pieces, f.nonneg) == (ref.breakpoints, ref.pieces,
+                                                       ref.nonneg)
 
 
 class TestFuzzGenerate:

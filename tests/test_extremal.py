@@ -145,7 +145,7 @@ class TestSweep:
         def flaky(g, p, tol):
             # fail only the smallest grid point's first norm
             if any(abs(b - 1.001) < 1e-12 for b in g.breakpoints):
-                raise NotConverged("forced", partial=QuadResult(1.0, 2.0, False))
+                raise NotConverged("forced", partial=QuadResult(1.0, 2.0))
             return real(g, p, tol)
 
         monkeypatch.setattr(extremal, "lp_norm", flaky)
@@ -156,8 +156,8 @@ class TestSweep:
 
     def test_unconverged_records_excluded(self):
         good = sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])
-        bad = SweepRecord(1e-4, QuadResult(math.nan, math.inf, False),
-                          QuadResult(math.nan, math.inf, False),
+        bad = SweepRecord(1e-4, QuadResult(math.nan, math.inf),
+                          QuadResult(math.nan, math.inf),
                           math.nan, None, None, False, None)
         lim = estimate_limit([*good, bad])
         assert lim == pytest.approx(1.0, abs=1e-6)

