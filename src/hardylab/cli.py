@@ -50,10 +50,6 @@ from .operators import dual_hardy, hardy, hardy_minus_identity
 from .verify import (
     P_GRID,
     Verdict,
-    _norm_pair,
-    _report,
-    crude_constants,
-    sharp_constants,
     verify_crude,
     verify_theorem1,
     verify_theorem2,
@@ -133,6 +129,10 @@ def _parse_json_spec(text: str) -> PiecewiseFn:
     if not isinstance(obj, dict) or "breakpoints" not in obj or "pieces" not in obj:
         raise ParseError("JSON spec needs 'breakpoints' and 'pieces'", position=0)
     try:
+        fields = (v for piece in obj["pieces"] for atom in piece
+                  for v in (atom.values() if isinstance(atom, dict) else atom))
+        if any(isinstance(v, bool) for v in (*obj["breakpoints"], *fields)):
+            raise TypeError("true and false are not numbers")
         bps = [_parse_number(b, 0) if isinstance(b, str) else float(b)
                for b in obj["breakpoints"]]
         return make_piecewise(bps, obj["pieces"])
@@ -284,9 +284,8 @@ def _cmd_fuzz(args) -> int:
             if args.monotone:
                 reports = [verify_theorem2(f, p, args.tol)]
             else:
-                pair = _norm_pair(f, p, args.tol)
-                reports = [_report(*pair, sharp_constants(p)),
-                           _report(*pair, crude_constants(p))]
+                reports = [verify_theorem1(f, p, args.tol),
+                           verify_crude(f, p, args.tol)]
             for rep in reports:
                 case_verdicts.append((seed, p, rep.verdict_lower))
                 case_verdicts.append((seed, p, rep.verdict_upper))

@@ -80,14 +80,16 @@ def as_atom(obj) -> PowerLogAtom:
     """Coerce an atom given as PowerLogAtom, (c, a[, k]) tuple, or mapping.
 
     A mapping has the keys c, a, k or coef, exponent, log_power, a and k
-    defaulting to 0; one without c or with another key raises TypeError.
+    defaulting to 0; one without c, with another key, or giving a field
+    under both its names raises TypeError.
     """
     if isinstance(obj, PowerLogAtom):
         return obj
     if isinstance(obj, dict):
-        fields = {"exponent": 0.0, "log_power": 0}
-        fields.update((_LONG_KEYS.get(key, key), v) for key, v in obj.items())
-        return PowerLogAtom(**fields)
+        fields = {_LONG_KEYS.get(key, key): v for key, v in obj.items()}
+        if len(fields) < len(obj):
+            raise TypeError(f"atom {obj!r} gives a field under both its names")
+        return PowerLogAtom(**{"exponent": 0.0, "log_power": 0, **fields})
     return PowerLogAtom(*obj)
 
 
@@ -96,7 +98,9 @@ def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:
 
     A merged coefficient within n * eps of the sum of the n magnitudes it
     was summed from is the rounding residue of terms that cancel, and is
-    dropped like one below COEF_FLOOR.
+    dropped like one below COEF_FLOOR.  Past an overflowed magnitude that
+    test cannot tell, so the coefficient is kept, and one that overflowed
+    itself raises NotRepresentable.
     """
     acc: dict[tuple[float, int], list] = {}
     for at in atoms:
@@ -107,7 +111,8 @@ def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:
     return tuple(
         PowerLogAtom(c, a, k)
         for (a, k), (c, mag, n) in sorted(acc.items())
-        if abs(c) >= COEF_FLOOR and abs(c) > n * sys.float_info.epsilon * mag
+        if abs(c) >= COEF_FLOOR
+        and (abs(c) > n * sys.float_info.epsilon * mag or mag == math.inf)
     )
 
 

@@ -19,6 +19,7 @@ equality within the floating floor counts as Holds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -141,12 +142,15 @@ def _report(num: QuadResult, den: QuadResult, bounds: Constants) -> Verification
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadResult]:
     """(||H*f||_p, ||Hf||_p), the numerator and denominator of both verdicts.
 
     An f whose ``nonneg`` flag is unset is certified first, so a signed
     input raises NegativityDetected instead of getting a verdict; an a.e.
-    zero f raises DegenerateInput.
+    zero f raises DegenerateInput.  The last pair is kept, keyed by value on
+    (f, p, tol), so verify_theorem1 and verify_crude called back to back on
+    equal arguments share it; a raised error is not kept.
     """
     if not f.nonneg:
         _certify_nonneg(f)

@@ -1,6 +1,16 @@
 import pytest
 
-from hardylab import funcmodel, norms
+from hardylab import funcmodel, norms, verify
+
+
+@pytest.fixture(autouse=True)
+def empty_norm_pair_memo():
+    """Empties verify._norm_pair's one-pair memo before every test.
+
+    Without it, a test that patches verify.lp_norm could be served a pair
+    that an earlier test computed.
+    """
+    verify._norm_pair.cache_clear()
 
 
 @pytest.fixture

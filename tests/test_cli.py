@@ -90,9 +90,17 @@ class TestMalformedInput:
         ["fuzz", "--seed", "1", "--count", "-3"],
         # the average of x**1e300 on (0, 2] overflows its constant atom
         ["apply", "hardy", "-f", "pow(1e300,0,2)"],
+        ["apply", "hardy", "-f", _spec([[{"c": 1e308}, {"c": 1e308}], []])],
+        # JSON true and false are not read as 1 and 0
+        ["apply", "hardy", "-f", _spec([[{"c": 1}], []], [False, True, "inf"])],
+        ["apply", "hardy", "-f", _spec([[{"c": True, "a": False}], []])],
+        ["apply", "hardy", "-f", _spec([[[1, 0, False]], []])],
+        ["apply", "hardy", "-f", _spec([[{"c": 1, "coef": 4}], []])],
     ], ids=["list-breakpoint", "pieces-number", "atom-number", "string-coef",
             "fractional-k", "nan-exponent", "string-breakpoint", "unknown-key",
-            "negative-count", "overflowing-average"])
+            "negative-count", "overflowing-average", "overflowing-sum",
+            "boolean-breakpoint", "boolean-field", "boolean-list-atom",
+            "coef-twice"])
     def test_exit_3(self, argv):
         code, out, err = capture(argv)
         assert code == 3

@@ -10,6 +10,7 @@ from hardylab.errors import (
     LogPowerCapExceeded,
     MalformedPartition,
     NegativityDetected,
+    NotRepresentable,
 )
 from hardylab.funcmodel import (
     PiecewiseFn,
@@ -91,6 +92,29 @@ class TestAtoms:
                  PowerLogAtom(-3, 0.5, 1), PowerLogAtom(1, 1.0, 0)]
         out = collect_atoms(atoms)
         assert out == (PowerLogAtom(1, 1.0, 0),)
+
+    @pytest.mark.parametrize("coefs, kept", [
+        ((1e308, 1e308), None),
+        ((1e308, -1e308, 1e308), 1e308),
+    ], ids=["sum-overflows", "magnitude-overflows"])
+    def test_collect_past_overflow(self, coefs, kept):
+        # an overflowed sum is refused, not dropped as cancellation residue;
+        # a finite sum whose magnitude overflowed is kept
+        atoms = [PowerLogAtom(c, 0.5, 0) for c in coefs]
+        if kept is None:
+            with pytest.raises(NotRepresentable):
+                collect_atoms(atoms)
+        else:
+            assert collect_atoms(atoms) == (PowerLogAtom(kept, 0.5, 0),)
+
+    @pytest.mark.parametrize("atom", [
+        {"c": 1, "coef": 4},
+        {"c": 1, "a": 0, "exponent": 1},
+        {"c": 1, "k": 0, "log_power": 1},
+    ], ids=["coef", "exponent", "log_power"])
+    def test_field_under_both_names_refused(self, atom):
+        with pytest.raises(TypeError, match="both its names"):
+            make_piecewise([0, 1, INF], [[atom], []])
 
 
 class TestEvaluate:

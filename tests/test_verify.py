@@ -8,10 +8,11 @@ from hardylab.errors import (
     BadExponent,
     DegenerateInput,
     DivergentAtInfinity,
+    NegativityDetected,
     NormDiverges,
     NotMonotone,
 )
-from hardylab.funcmodel import make_piecewise
+from hardylab.funcmodel import make_piecewise, scale
 from hardylab.verify import (
     P_GRID,
     Verdict,
@@ -124,6 +125,67 @@ class TestNonnegCertificate:
         assert f.nonneg
         assert verify_theorem1(f, 2.0).holds
         assert verify_crude(f, 2.0).holds
+
+
+class TestNormPairMemo:
+    """verify_theorem1 and verify_crude on equal (f, p, tol) share one pair
+    of norms; the memo keeps only the last pair."""
+
+    @pytest.fixture
+    def lp_norm_calls(self, monkeypatch):
+        import hardylab.verify as verify
+
+        calls = 0
+        real = verify.lp_norm
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, "lp_norm", counted)
+        return lambda: calls
+
+    def test_crude_after_theorem1_shares_the_pair(self, lp_norm_calls):
+        f = chi01()
+        sharp = verify_theorem1(f, 3.0)
+        crude = verify_crude(f, 3.0)
+        assert lp_norm_calls() == 2
+        assert (crude.ratio, crude.ratio_err) == (sharp.ratio, sharp.ratio_err)
+
+    def test_value_equal_f_hits(self, lp_norm_calls):
+        f, g = chi01(), chi01()
+        assert f is not g and f == g
+        verify_theorem1(f, 3.0)
+        verify_crude(g, 3.0)
+        assert lp_norm_calls() == 2
+
+    @pytest.mark.parametrize("f2, p2, tol2", [
+        (chi01(), 4.0, 1e-9),
+        (chi01(), 3.0, 1e-10),
+        (scale(chi01(), 2.0), 3.0, 1e-9),
+    ], ids=["p", "tol", "f"])
+    def test_other_arguments_recompute(self, lp_norm_calls, f2, p2, tol2):
+        verify_theorem1(chi01(), 3.0, 1e-9)
+        verify_crude(f2, p2, tol2)
+        assert lp_norm_calls() == 4
+
+    def test_only_the_last_pair_is_kept(self, lp_norm_calls):
+        f = chi01()
+        verify_theorem1(f, 3.0)
+        verify_theorem1(f, 4.0)
+        verify_crude(f, 3.0)
+        assert lp_norm_calls() == 6
+
+    @pytest.mark.parametrize("pieces, error", [
+        ([[]], DegenerateInput),
+        ([[(1, 0, 0)], [(-3, 0, 0)], []], NegativityDetected),
+    ], ids=["degenerate", "signed"])
+    def test_errors_raised_again(self, pieces, error):
+        f = make_piecewise([0, *range(1, len(pieces)), INF], pieces)
+        for check in (verify_theorem1, verify_crude):
+            with pytest.raises(error):
+                check(f, 3.0)
 
 
 class TestCrude:
