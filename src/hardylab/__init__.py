@@ -45,6 +45,7 @@ from .norms import (
     ipstar_via_fubini,
     lp_norm,
     lp_norm_callable,
+    lp_norms,
     numeric_dual_hardy,
     numeric_hardy,
 )

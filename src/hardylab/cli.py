@@ -121,9 +121,16 @@ def _parse_number(token: str, position: int) -> float:
         raise ParseError(f"expected a number, got {token!r}", position=position)
 
 
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook: refuse a repeated key (json.loads keeps its last value)."""
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ParseError(f"a JSON object repeats a key: {[key for key, _ in pairs]}")
+    return dict(pairs)
+
+
 def _parse_json_spec(text: str) -> PiecewiseFn:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos)
     if not isinstance(obj, dict) or "breakpoints" not in obj or "pieces" not in obj:

@@ -37,7 +37,7 @@ from .funcmodel import (
     piece_index,
     right_value,
 )
-from .norms import DEFAULT_TOL, lp_norm
+from .norms import DEFAULT_TOL, lp_norms, unwrap
 from .operators import cumulative_integral, dual_hardy, hardy, hardy_minus_identity
 
 
@@ -232,10 +232,8 @@ def check_equivalence(phi: PiecewiseFn, p: float,
         if g2 > gap2:
             gap2, worst_x2 = g2, x
     quad_tol = min(tol, DEFAULT_TOL) * 0.1
-    n_diff = lp_norm(lhs_diff, p, quad_tol)
-    n_hf = lp_norm(rhs_diff, p, quad_tol)
-    n_phi = lp_norm(phi, p, quad_tol)
-    n_hsf = lp_norm(phi_back, p, quad_tol)
+    n_diff, n_hf, n_phi, n_hsf = map(
+        unwrap, lp_norms([lhs_diff, rhs_diff, phi, phi_back], p, quad_tol))
     norm_gap_diff = abs(n_diff.value - n_hf.value)
     norm_gap_phi = abs(n_phi.value - n_hsf.value)
     budget_diff = n_diff.err + n_hf.err + 1e-12 * max(n_diff.value, n_hf.value, 1.0)

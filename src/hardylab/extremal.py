@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EpsOutOfRange, InsufficientData, NotConverged
 from .funcmodel import PiecewiseFn, make_piecewise
-from .norms import DEFAULT_TOL, QuadResult, lp_norm
+from .norms import DEFAULT_TOL, QuadResult, lp_norms
 from .operators import dual_hardy, hardy
 from ._parallel import map_ordered
 
@@ -148,18 +148,12 @@ def default_eps_grid(kind: FamilyKind | str, p: float) -> tuple[float, ...]:
     return tuple(float(e) for e in grid)
 
 
-def _one_record(kind: FamilyKind, eps: float, p: float, tol: float) -> SweepRecord:
-    f = family(kind, eps, p)
-    sand_h, sand_s = paper_bounds(kind, eps, p)
-    converged = True
-    norms = []
-    for g in (hardy(f), dual_hardy(f)):
-        try:
-            norms.append(lp_norm(g, p, tol))
-        except NotConverged as exc:
-            norms.append(exc.partial or QuadResult(math.nan, math.inf))
-            converged = False
-    nh, ns = norms
+def _one_record(kind: FamilyKind, p: float, eps: float, sands: tuple[Sandwich, ...],
+                *norms: QuadResult | NotConverged) -> SweepRecord:
+    sand_h, sand_s = sands
+    converged = not any(isinstance(n, NotConverged) for n in norms)
+    nh, ns = (n.partial or QuadResult(math.nan, math.inf)
+              if isinstance(n, NotConverged) else n for n in norms)
     if kind is FamilyKind.INFINITY_SINGULAR:
         ratio = ns.value / nh.value
         num_sand = sand_s
@@ -193,7 +187,8 @@ def sweep(kind: FamilyKind | str, p: float, eps_grid: Sequence[float] | None = N
     """Norms, ratio, and sandwich checks over a decreasing eps grid.
 
     Records stay in eps-descending order; a grid point whose quadrature
-    fails is marked unconverged instead of aborting the sweep.
+    fails is marked unconverged instead of aborting the sweep.  All the
+    norms of the grid share each evaluator call (norms.lp_norms).
     """
     kind = FamilyKind(kind)
     if eps_grid is None:
@@ -202,7 +197,10 @@ def sweep(kind: FamilyKind | str, p: float, eps_grid: Sequence[float] | None = N
         grid = tuple(sorted((float(e) for e in eps_grid), reverse=True))
         for e in grid:
             _check_eps(kind, e, p)
-    return map_ordered(lambda e: _one_record(kind, e, p, tol), grid)
+    members = [(family(kind, e, p), paper_bounds(kind, e, p)) for e in grid]
+    norms = lp_norms([op(f) for f, _ in members for op in (hardy, dual_hardy)], p, tol)
+    cases = zip(grid, (sands for _, sands in members), norms[::2], norms[1::2])
+    return map_ordered(lambda case: _one_record(kind, p, *case), cases)
 
 
 def estimate_limit(records: Sequence[SweepRecord]) -> float:

@@ -22,11 +22,13 @@ regions share one error budget.
   * the integrands are compiled once into numpy arrays, and every
     evaluation is one call over a batch of Gauss7/Kronrod15 segments of any
     regions: the seeds of all regions, each cutoff push, and each round of
-    the adaptive loop.  The segments sit in one heap, as in QUADPACK's
-    qags/qagi; a round bisects the worst segments, as many as the summed
-    error of the whole integral, remainders included, needs to meet
+    the adaptive loop.  The segments of an integral sit in one heap, as in
+    QUADPACK's qags/qagi; a round bisects the worst segments, as many as the
+    summed error of the whole integral, remainders included, needs to meet
     max(tol, 1e-12 * |value|).  The pair difference is the local error
     estimate and the global error is the sum of local estimates.
+  * integrals computed together (lp_norms) share each evaluator call, but
+    each keeps its own heap, budget, cutoffs and err, and fails alone.
   * divergence is decided up front by the leading-exponent tests: at zero
     a_min * p <= -1 diverges, on the unbounded piece a_max * p >= -1 does.
 
@@ -130,68 +132,34 @@ _GK15 = (
 
 
 _XI, _WG, _WK = (np.array(col) for col in zip(*_GK15))
+_W = np.array([_WK, _WG])
 
 
 def _gk15(fn, reg, a, b):
-    """Kronrod-15 values and |K15 - G7| error estimates of n segments, given
-    as arrays of region ids and ends; all n * 15 nodes go to one fn call."""
+    """Kronrod-15 values and |K15 - G7| errors of n segments (arrays of region
+    ids and ends), and (row, node) of each row's first non-finite integrand
+    value; all n * 15 nodes go to one fn call.  einsum sums a row in a fixed
+    order, where a BLAS matmul rounds it by its place in the batch."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XI
     fv = fn(reg, nodes)
+    s_k, s_g = np.einsum("ij,kj->ki", fv, _W)
     bad = ~np.isfinite(fv)
-    if bad.any():
-        raise NotConverged(f"non-finite integrand value near x={nodes[bad][0]}")
-    s_k = fv @ _WK
-    return s_k * half, np.abs(s_k - fv @ _WG) * np.abs(half)
+    rows = np.flatnonzero(bad.any(1)) if bad.any() else ()
+    fails = [(r, nodes[r][bad[r]][0]) for r in rows]
+    return s_k * half, np.abs(s_k - s_g) * np.abs(half), fails
 
 
-def _gk15_seeds(fn, seeds) -> list[tuple]:
-    """(-err, region, a, b, value) of every non-empty (region, a, b) seed."""
+def _gk15_seeds(fn, seeds) -> tuple[list, list]:
+    """(-err, region, a, b, value) of every non-empty (region, a, b) seed, and
+    (region, node) of the first non-finite integrand value of a seed with one."""
     seeds = [seed for seed in seeds if seed[2] > seed[1]]
     if not seeds:
-        return []
+        return [], []
     reg, a, b = (np.array(col) for col in zip(*seeds))
-    v, e = _gk15(fn, reg, a, b)
-    return list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist()))
-
-
-def _adaptive(fn, segs, budget: float, fixed: tuple[float, float]) -> tuple[float, float]:
-    """Global adaptive bisection over the segments of all regions.
-
-    ``segs`` come from _gk15_seeds; ``fixed`` is a (value, err) part known
-    in closed form that counts toward the totals.  Each round pops the worst
-    segments until the error left meets max(budget, _REL_FLOOR * |value|)
-    and bisects them in one batch, until the interval cap or the floating
-    floor.  Returns (value, err), re-summed in spatial order so results do
-    not depend on the schedule.
-    """
-    heap = list(segs)
-    heapq.heapify(heap)
-    value = fixed[0] + sum(item[4] for item in heap)
-    err = fixed[1] - sum(item[0] for item in heap)
-    while True:
-        goal = max(budget, _REL_FLOOR * abs(value))
-        popped = []
-        while err > goal and len(heap) + 2 * len(popped) < _MAX_INTERVALS:
-            neg_e, _, a, b, _ = heap[0]
-            if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
-                break  # splitting is below double precision resolution
-            popped.append(heapq.heappop(heap))
-            err += neg_e
-        if not popped:
-            break
-        value -= sum(item[4] for item in popped)
-        children = [half for _, r, a, b, _ in popped
-                    for half in ((r, a, 0.5 * (a + b)), (r, 0.5 * (a + b), b))]
-        for item in _gk15_seeds(fn, children):
-            heapq.heappush(heap, item)
-            value += item[4]
-            err -= item[0]
-    # re-sum in spatial order: deterministic and free of heap-update drift
-    heap.sort(key=lambda item: item[1:3])
-    value = sum(item[4] for item in heap) + fixed[0]
-    err = fixed[1] - sum(item[0] for item in heap)
-    return value, err
+    v, e, fails = _gk15(fn, reg, a, b)
+    return (list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist())),
+            [(seeds[r][0], x) for r, x in fails])
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
@@ -234,15 +202,15 @@ def _compile(pis):
     Region 3*i + kind is integrand i's zero end in t = -ln x (kind 0), its
     interior in x (kind 1) or its infinity end in t = ln x (kind 2), the
     ends with the Jacobian exp(-+t).  Per region, atoms are padded into
-    arrays of log|c|, exponent, sign, sign at x < 1 and log power; values
-    are |atom sum|**power in log space, shifted by the largest atom, with
-    log atoms dropped at x = 1, 0 on underflow and +inf past overflow.
+    arrays of log|c|, exponent, sign, sign at x < 1 and log power (atoms
+    first); values are |atom sum|**power in log space, shifted by the largest
+    atom, with log atoms dropped at x = 1, 0 on underflow, +inf on overflow.
     """
     n_f = max(len(pi.factors) for pi in pis)
     n_a = max(len(atoms) for pi in pis for atoms, _ in pi.factors)
-    tab = np.zeros((len(pis), 5, n_f, n_a))
-    tab[:, 0, :, 1:] = -np.inf  # padding atoms; a padded factor is 1**0
-    tab[:, 2:4] = 1.0
+    tab = np.zeros((5, n_a, len(pis), n_f))
+    tab[0, 1:] = -np.inf  # padding atoms; a padded factor is 1**0
+    tab[2:4] = 1.0
     cols = np.zeros((len(pis), 4 + n_f))  # interior?, t sign, ln const, Jacobian, powers
     for i, pi in enumerate(pis):
         cols[i, 2] = math.log(pi.const)
@@ -250,29 +218,29 @@ def _compile(pis):
             cols[i, 4 + j] = q
             for k, at in enumerate(atoms):
                 sg = math.copysign(1.0, at.coef)
-                tab[i, :, j, k] = (math.log(abs(at.coef)), at.exponent, sg,
+                tab[:, k, i, j] = (math.log(abs(at.coef)), at.exponent, sg,
                                    -sg if at.log_power % 2 else sg, at.log_power)
-    has_logs = tab[:, 4].any()
-    tab, cols = np.repeat(tab, 3, axis=0), np.repeat(cols, 3, axis=0)
+    has_logs = tab[4].any()
+    tab, cols = np.repeat(tab, 3, axis=2), np.repeat(cols, 3, axis=0)
     kind = np.arange(len(cols)) % 3
     cols[:, 0], cols[:, 1], cols[:, 3] = kind == 1, kind - 1, kind != 1
 
     def fn(reg, nodes):
         c = cols[reg].T[:, :, None]
-        ln_c, expo, sign, sign_neg, logp = tab[reg].transpose(1, 0, 2, 3)[:, :, None]
+        ln_c, expo, sign, sign_neg, logp = tab[:, :, reg, None]
         with np.errstate(all="ignore"):
             lx = np.where(c[0] > 0.0, np.log(nodes), c[1] * nodes)
             log_h = c[2] + c[3] * lx
-            lx4 = lx[:, :, None, None]
-            m = ln_c + expo * lx4
+            lx3 = lx[:, :, None]
+            m = ln_c + expo * lx3
             if has_logs:
-                m = m + logp * np.maximum(np.log(np.abs(lx4)), -1e300)
-                sign = np.where(lx4 < 0.0, sign_neg, sign)
+                m = m + logp * np.maximum(np.log(np.abs(lx3)), -1e300)
+                sign = np.where(lx3 < 0.0, sign_neg, sign)
             if n_a == 1:
-                flog = m[..., 0]
+                flog = m[0]
             else:
-                best = m.max(axis=-1)
-                s = (sign * np.exp(m - best[..., None])).sum(axis=-1)
+                best = m.max(axis=0)
+                s = (sign * np.exp(m - best)).sum(axis=0)
                 flog = best + np.log(np.abs(s))
             for j in range(n_f):
                 log_h = log_h + c[4 + j] * flog[..., j]
@@ -336,57 +304,111 @@ def _log_end(pi: _ProductIntegrand, reg: int, t0: float, at_zero: bool) -> list:
     return [reg, env, t0, math.inf]
 
 
-def _integrate(tasks, tol: float) -> tuple[float, float]:
-    """Integral of the product integrands over their pieces, in one heap.
+def _integrate(jobs, tol: float) -> list:
+    """One integral per job, a list of tasks (pi, lo, hi), sharing evaluator calls.
 
-    Task i = (pi, lo, hi) contributes its zero end, its interior in x and
-    its infinity end as regions 3i, 3i + 1 and 3i + 2; err meets
-    max(tol, _REL_FLOOR * |value|) for the whole sum, or NotConverged is
-    raised with the partial result.
+    Task i of all the jobs has regions 3i (zero end), 3i + 1 (interior) and
+    3i + 2 (infinity end) of one table; each seed pass, cutoff push and
+    adaptive round is one _gk15_seeds call.  A job keeps its own ends, heap,
+    segment cap and goal max(tol, _REL_FLOOR * |value|), so it returns the
+    (value, err) it would alone, or the NotConverged it would raise.
     """
-    n_ends = sum((lo == 0.0) + math.isinf(hi) for _, lo, hi in tasks)
-    target = tol / (4.0 * max(n_ends, 1))
-    ends, seeds, segs = [], [], []
+    tasks = [task for job in jobs for task in job]
+    owner = [j for j, job in enumerate(jobs) for _ in job]
+    fn = _compile([pi for pi, _, _ in tasks]) if tasks else None
+    out = [None] * len(jobs)  # a job's NotConverged, or its (value, err) at the end
+    ends, seeds, segs = ([[] for _ in jobs] for _ in range(3))
     for i, (pi, lo, hi) in enumerate(tasks):
         if lo == 0.0:
             lo = min(hi, 1.0 / _E)
-            ends.append(_log_end(pi, 3 * i, -math.log(lo), at_zero=True))
+            ends[owner[i]].append(_log_end(pi, 3 * i, -math.log(lo), at_zero=True))
         x1 = max(lo, _E) if math.isinf(hi) else hi
         if lo < x1:
-            seeds += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
+            seeds[owner[i]] += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
         if math.isinf(hi):
-            ends.append(_log_end(pi, 3 * i + 2, math.log(x1), at_zero=False))
-    fn = _compile([pi for pi, _, _ in tasks])
+            ends[owner[i]].append(_log_end(pi, 3 * i + 2, math.log(x1), at_zero=False))
+
+    def run(live, batch):
+        """Segments of the live jobs' seeds; a non-finite value fails a job."""
+        items, fails = _gk15_seeds(fn, [seed for j in live for seed in batch[j]])
+        for reg, x in fails:
+            j = owner[reg // 3]
+            if out[j] is None:
+                out[j] = NotConverged(f"non-finite integrand value near x={x}")
+        return items
+
+    live = range(len(jobs))
     for push in range(7):
-        # cut each end where its remainder meets target, then push the cutoff
-        # until the remainder is also small next to the end's value, so tiny
-        # integrals (extremal families at small eps) are not polluted by an
-        # absolute-scale remainder term; each pass evaluates its seeds at once
-        mass = {}
-        for item in segs:
-            mass[item[1]] = mass.get(item[1], 0.0) + item[4]
-        for end in ends:
-            reg, env, t_cut, rem = end
-            goal = max(0.1 * _REL_FLOOR * (abs(mass.get(reg, 0.0)) + rem), 1e-320)
-            goal = goal if push else target
-            t_new = _choose_cutoff(*env, t_cut, goal) if rem > goal else t_cut
-            if t_new > t_cut or not push:
-                seeds += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
-                end[2:] = t_new, math.exp(min(_log_gamma_tail(*env, t_new), _LN_HUGE))
-        if not seeds:
+        # cut each end where its remainder meets tol / (4 * the job's ends),
+        # then push the cutoff until the remainder is also small next to the
+        # end's value, so tiny integrals (extremal families at small eps) are
+        # not polluted by an absolute-scale remainder term
+        for j in live:
+            mass = {}
+            for item in segs[j]:
+                mass[item[1]] = mass.get(item[1], 0.0) + item[4]
+            for end in ends[j]:
+                reg, env, t_cut, rem = end
+                goal = max(0.1 * _REL_FLOOR * (abs(mass.get(reg, 0.0)) + rem), 1e-320)
+                goal = goal if push else tol / (4.0 * len(ends[j]))
+                try:
+                    t_new = _choose_cutoff(*env, t_cut, goal) if rem > goal else t_cut
+                except NotConverged as exc:
+                    out[j] = exc
+                    break
+                if t_new > t_cut or not push:
+                    seeds[j] += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
+                    end[2:] = t_new, math.exp(min(_log_gamma_tail(*env, t_new), _LN_HUGE))
+        live = [j for j in live if out[j] is None and seeds[j]]
+        if not live:
             break
-        segs += _gk15_seeds(fn, seeds)
-        seeds = []
-    rem = sum(end[3] for end in ends)
-    value, err = _adaptive(fn, segs, tol, (0.5 * rem, 0.5 * rem))
-    missed = err > max(tol, _REL_FLOOR * abs(value))
-    err += 1e-16 * abs(value)
-    if missed:
-        raise NotConverged(
-            f"error budget {tol} not met (reached {err})",
-            partial=QuadResult(value, err),
-        )
-    return value, err
+        for item in run(live, seeds):
+            segs[owner[item[1] // 3]].append(item)
+        seeds = [[] for _ in jobs]
+    # global adaptive bisection: each round a job bisects its worst segments, as
+    # many as its goal needs, until its interval cap or the floating floor
+    rems = [0.5 * sum(end[3] for end in job_ends) for job_ends in ends]
+
+    def totals(j):  # [value, err] of job j, half the remainder bound in each
+        return [sum(item[4] for item in segs[j]) + rems[j],
+                rems[j] - sum(item[0] for item in segs[j])]
+
+    for heap in segs:
+        heapq.heapify(heap)
+    acc = [totals(j) for j in range(len(jobs))]
+    live = [j for j in range(len(jobs)) if out[j] is None]
+    while live:
+        children = {}
+        for j in live:
+            heap, (value, err), popped = segs[j], acc[j], []
+            goal = max(tol, _REL_FLOOR * abs(value))
+            while err > goal and len(heap) + 2 * len(popped) < _MAX_INTERVALS:
+                neg_e, _, a, b, _ = heap[0]
+                if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
+                    break  # splitting is below double precision resolution
+                popped.append(heapq.heappop(heap))
+                err += neg_e
+            if popped:
+                acc[j] = [value - sum(item[4] for item in popped), err]
+                children[j] = [half for _, r, a, b, _ in popped
+                               for half in ((r, a, 0.5 * (a + b)), (r, 0.5 * (a + b), b))]
+        live = list(children)
+        for item in run(live, children):
+            j = owner[item[1] // 3]
+            heapq.heappush(segs[j], item)
+            acc[j][0] += item[4]
+            acc[j][1] -= item[0]
+        live = [j for j in live if out[j] is None]
+    for j in range(len(jobs)):
+        if out[j] is None:
+            # re-sum in spatial order: deterministic and free of heap-update drift
+            segs[j].sort(key=lambda item: item[1:3])
+            v, e = totals(j)
+            missed = e > max(tol, _REL_FLOOR * abs(v))
+            e += 1e-16 * abs(v)
+            out[j] = (NotConverged(f"error budget {tol} not met (reached {e})",
+                                   partial=QuadResult(v, e)) if missed else (v, e))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +446,31 @@ def _norm_from_power(vp: float, ep: float, p: float) -> QuadResult:
     return QuadResult(value, nerr)
 
 
+def unwrap(result):
+    """A result of lp_norms itself, or the NotConverged in its place raised."""
+    if isinstance(result, NotConverged):
+        raise result
+    return result
+
+
+def lp_norms(gs, p: float, tol: float = DEFAULT_TOL) -> list:
+    """lp_norm of each g, the integrals sharing every evaluator call.
+
+    Each integral keeps its own budget and err, so each result equals
+    lp_norm's of that g alone, or is the NotConverged that lp_norm raises.
+    The divergence tests of all the gs run, in order, before any quadrature.
+    """
+    if not p > 1.0:
+        raise BadExponent(f"p must exceed 1, got {p}")
+    for g in gs:
+        check_lp_defined(g, p)
+    jobs = [[(_ProductIntegrand(1.0, ((atoms, p),)), lo, hi)
+             for atoms, lo, hi in zip(g.pieces, g.breakpoints, g.breakpoints[1:])
+             if atoms] for g in gs]
+    return [r if isinstance(r, NotConverged) else _norm_from_power(*r, p)
+            for r in _integrate(jobs, tol)]
+
+
 def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     """(integral of |g|**p over (0, inf))**(1/p) with an error bound.
 
@@ -432,18 +479,7 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
     for double precision to do better.  The returned err bounds the norm
     itself.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
-    check_lp_defined(g, p)
-    tasks = [
-        (_ProductIntegrand(1.0, ((atoms, p),)),
-         g.breakpoints[i], g.breakpoints[i + 1])
-        for i, atoms in enumerate(g.pieces) if atoms
-    ]
-    if not tasks:
-        return QuadResult(0.0, 0.0)
-    vp, ep = _integrate(tasks, tol)
-    return _norm_from_power(vp, ep, p)
+    return unwrap(lp_norms([g], p, tol)[0])
 
 
 def _identity_integral(f: PiecewiseFn, g: PiecewiseFn, const: float, p: float,
@@ -455,9 +491,7 @@ def _identity_integral(f: PiecewiseFn, g: PiecewiseFn, const: float, p: float,
          f.breakpoints[i], f.breakpoints[i + 1])
         for i, atoms in enumerate(f.pieces) if atoms and g.pieces[i]
     ]
-    if not tasks:
-        return QuadResult(0.0, 0.0)
-    return QuadResult(*_integrate(tasks, tol))
+    return QuadResult(*unwrap(_integrate([tasks], tol)[0]))
 
 
 def ip_via_parts(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .errors import BadExponent, DegenerateInput
 from .funcmodel import PiecewiseFn, _certify_nonneg
-from .norms import DEFAULT_TOL, QuadResult, lp_norm
+from .norms import DEFAULT_TOL, QuadResult, check_lp_defined, lp_norms, unwrap
 from .operators import dual_hardy, hardy, hardy_minus_identity
 
 #: Threshold under which a norm is treated as an a.e.-zero input.
@@ -148,16 +148,19 @@ def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadRe
 
     An f whose ``nonneg`` flag is unset is certified first, so a signed
     input raises NegativityDetected instead of getting a verdict; an a.e.
-    zero f raises DegenerateInput.  The last pair is kept, keyed by value on
-    (f, p, tol), so verify_theorem1 and verify_crude called back to back on
-    equal arguments share it; a raised error is not kept.
+    zero f raises DegenerateInput.  ||Hf|| is tested for divergence before
+    H*f is built.  The last pair is kept, keyed by value on (f, p, tol), so
+    verify_theorem1 and verify_crude called back to back on equal arguments
+    share it; a raised error is not kept.
     """
     if not f.nonneg:
         _certify_nonneg(f)
-    den = lp_norm(hardy(f), p, tol)
-    if den.value < DEGENERATE_NORM:
+    hf = hardy(f)
+    check_lp_defined(hf, p)
+    den, num = lp_norms([hf, dual_hardy(f)], p, tol)
+    if unwrap(den).value < DEGENERATE_NORM:
         raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
-    return lp_norm(dual_hardy(f), p, tol), den
+    return unwrap(num), den
 
 
 def verify_theorem1(f: PiecewiseFn, p: float,
@@ -192,8 +195,7 @@ def verify_theorem2(phi: PiecewiseFn, p: float,
     """
     bounds = sharp_constants(p)
     diff = hardy_minus_identity(phi)
-    num = lp_norm(phi, p, tol)
-    den = lp_norm(diff, p, tol)
+    num, den = map(unwrap, lp_norms([phi, diff], p, tol))
     if den.value < DEGENERATE_NORM:
         raise DegenerateInput("H(phi)-phi is a.e. zero; the ratio is undefined")
     return _report(num, den, bounds)

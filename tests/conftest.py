@@ -7,7 +7,7 @@ from hardylab import funcmodel, norms, verify
 def empty_norm_pair_memo():
     """Empties verify._norm_pair's one-pair memo before every test.
 
-    Without it, a test that patches verify.lp_norm could be served a pair
+    Without it, a test that patches verify.lp_norms could be served a pair
     that an earlier test computed.
     """
     verify._norm_pair.cache_clear()

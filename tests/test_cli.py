@@ -96,11 +96,13 @@ class TestMalformedInput:
         ["apply", "hardy", "-f", _spec([[{"c": True, "a": False}], []])],
         ["apply", "hardy", "-f", _spec([[[1, 0, False]], []])],
         ["apply", "hardy", "-f", _spec([[{"c": 1, "coef": 4}], []])],
+        # json.loads would keep the last of the two values
+        ["apply", "hardy", "-f", '{"breakpoints":[0,1,"inf"],"pieces":[[{"c":1,"c":4}],[]]}'],
     ], ids=["list-breakpoint", "pieces-number", "atom-number", "string-coef",
             "fractional-k", "nan-exponent", "string-breakpoint", "unknown-key",
             "negative-count", "overflowing-average", "overflowing-sum",
             "boolean-breakpoint", "boolean-field", "boolean-list-atom",
-            "coef-twice"])
+            "coef-twice", "repeated-key"])
     def test_exit_3(self, argv):
         code, out, err = capture(argv)
         assert code == 3
@@ -301,14 +303,14 @@ class TestRun:
         import hardylab.verify as verify
 
         calls = 0
-        real = verify.lp_norm
+        real = verify.lp_norms
 
-        def counted(*args):
+        def counted(gs, *args):
             nonlocal calls
-            calls += 1
-            return real(*args)
+            calls += len(gs)
+            return real(gs, *args)
 
-        monkeypatch.setattr(verify, "lp_norm", counted)
+        monkeypatch.setattr(verify, "lp_norms", counted)
         code, _, _ = capture(["fuzz", "--seed", "7", "--count", "3", "-p", "2", "-p", "3"])
         assert code == 0
         # 3 cases x 2 p x (||Hf||, ||H*f||), shared by both theorems

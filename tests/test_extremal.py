@@ -141,18 +141,49 @@ class TestSweep:
         from hardylab import extremal
         from hardylab.errors import NotConverged
 
-        real = extremal.lp_norm
-        def flaky(g, p, tol):
-            # fail only the smallest grid point's first norm
-            if any(abs(b - 1.001) < 1e-12 for b in g.breakpoints):
-                raise NotConverged("forced", partial=QuadResult(1.0, 2.0))
-            return real(g, p, tol)
+        real = extremal.lp_norms
+        def flaky(gs, p, tol):
+            # fail only the smallest grid point's norms
+            forced = NotConverged("forced", partial=QuadResult(1.0, 2.0))
+            return [forced if any(abs(b - 1.001) < 1e-12 for b in g.breakpoints) else r
+                    for g, r in zip(gs, real(gs, p, tol))]
 
-        monkeypatch.setattr(extremal, "lp_norm", flaky)
+        monkeypatch.setattr(extremal, "lp_norms", flaky)
         records = extremal.sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])
         assert [r.converged for r in records] == [True, True, False]
         assert records[-1].sandwich_ok is None
         assert records[-1].norm_h.err == 2.0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+    def test_record_equals_its_point_swept_alone(self, kind, p):
+        # the norms of a grid share evaluator calls, never their results
+        records = sweep(kind, p)
+        assert len(records) > 1
+        for r in records:
+            assert sweep(kind, p, [r.eps]) == [r]
+
+    def test_grid_shares_one_compile(self, gk15_calls, evaluator_calls, monkeypatch):
+        from hardylab import norms
+
+        compiles = 0
+        real = norms._compile
+
+        def counted(pis):
+            nonlocal compiles
+            compiles += 1
+            return real(pis)
+
+        monkeypatch.setattr(norms, "_compile", counted)
+        sweep(FamilyKind.STEP, 3.0)
+        together = gk15_calls(), evaluator_calls()
+        assert compiles == 1
+        for eps in default_eps_grid(FamilyKind.STEP, 3.0):
+            sweep(FamilyKind.STEP, 3.0, [eps])
+        alone = gk15_calls() - together[0], evaluator_calls() - together[1]
+        # the same segments, in fewer evaluator calls
+        assert together[0] == alone[0]
+        assert together[1] < alone[1]
 
     def test_unconverged_records_excluded(self):
         good = sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])

@@ -13,6 +13,7 @@ from hardylab.norms import (
     ipstar_via_fubini,
     lp_norm,
     lp_norm_callable,
+    lp_norms,
     numeric_dual_hardy,
     numeric_hardy,
 )
@@ -52,6 +53,46 @@ class TestQuadResult:
                               require_nonneg=True)
         with pytest.raises(NotConverged):
             lp_norm(huge, 8.0)  # (1e100)^8 overflows doubles
+
+
+class TestLpNorms:
+    """A batch shares evaluator calls; each norm is computed as if alone."""
+
+    def test_failing_norm_fails_alone(self):
+        huge = make_piecewise([0, 1, INF], [[(1e100, 0, 0)], []], require_nonneg=True)
+        good, bad = lp_norms([chi01(), huge], 8.0)
+        assert good == lp_norm(chi01(), 8.0)
+        assert isinstance(bad, NotConverged)
+        with pytest.raises(NotConverged) as alone:
+            lp_norm(huge, 8.0)
+        assert str(alone.value) == str(bad) and bad.partial is alone.value.partial is None
+
+    def test_unreachable_cutoff_fails_alone(self, monkeypatch):
+        from hardylab import norms
+
+        real = norms._choose_cutoff
+
+        def picky(log_m, *args):
+            if log_m > 1.0:  # the envelope of the scaled function only
+                raise NotConverged("remainder bound does not reach the error budget")
+            return real(log_m, *args)
+
+        monkeypatch.setattr(norms, "_choose_cutoff", picky)
+        good, bad = lp_norms([chi01(), scale(chi01(), 1e10)], 2.0)
+        assert good == lp_norm(chi01(), 2.0)
+        assert isinstance(bad, NotConverged)
+
+    def test_batch_matches_each_alone(self):
+        gs = [hardy(MIXED), dual_hardy(MIXED), chi01(), make_piecewise([0, 1, INF], [[], []])]
+        for p in (1.25, 3.0):
+            assert lp_norms(gs, p) == [lp_norm(g, p) for g in gs]
+
+    def test_divergence_tested_before_quadrature(self, evaluator_calls):
+        tail = make_piecewise([0, 1, INF], [[], [(1, 0, 0)]])
+        with pytest.raises(NormDiverges):
+            lp_norms([chi01(), tail], 2.0)
+        assert evaluator_calls() == 0
+        assert lp_norms([], 2.0) == []
 
 
 class TestLpNorm:

@@ -133,17 +133,18 @@ class TestNormPairMemo:
 
     @pytest.fixture
     def lp_norm_calls(self, monkeypatch):
+        """Counts the norms verify computes, each norm of a batch apart."""
         import hardylab.verify as verify
 
         calls = 0
-        real = verify.lp_norm
+        real = verify.lp_norms
 
-        def counted(*args):
+        def counted(gs, *args):
             nonlocal calls
-            calls += 1
-            return real(*args)
+            calls += len(gs)
+            return real(gs, *args)
 
-        monkeypatch.setattr(verify, "lp_norm", counted)
+        monkeypatch.setattr(verify, "lp_norms", counted)
         return lambda: calls
 
     def test_crude_after_theorem1_shares_the_pair(self, lp_norm_calls):
