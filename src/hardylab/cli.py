@@ -64,12 +64,7 @@ class FuzzConfig:
     """Deterministic generator settings for one fuzz case; see fuzz_generate."""
 
     seed: int
-    n_pieces: int | None = None  # bounded pieces; drawn from [1, 6] when None
     monotone: bool = False
-
-    def __post_init__(self):
-        if self.n_pieces is not None and not 1 <= self.n_pieces <= 6:
-            raise ValueError("n_pieces must lie in [1, 6]")
 
 
 def fuzz_generate(config: FuzzConfig) -> PiecewiseFn:
@@ -85,7 +80,7 @@ def fuzz_generate(config: FuzzConfig) -> PiecewiseFn:
     nonincreasing, and vanishes at infinity by construction.
     """
     rng = random.Random(config.seed)
-    n = config.n_pieces or rng.randint(1, 6)
+    n = rng.randint(1, 6)  # bounded pieces
     cuts = sorted(rng.uniform(0.1, 10.0) for _ in range(n))
     bps = [0.0, *cuts, math.inf]
     pieces = []

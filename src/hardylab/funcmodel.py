@@ -35,7 +35,7 @@ LOG_POWER_CAP = 8
 #: Atom coefficients below this magnitude are dropped during term collection.
 COEF_FLOOR = 1e-300
 
-#: Default tolerance for the sign and monotonicity checks.
+#: Tolerance of the sign and monotonicity checks.
 TOL_EVAL = 1e-9
 
 _SAMPLES_PER_PIECE = 256
@@ -239,12 +239,12 @@ def _check_points(lo: float, hi: float, w, a, k, n: int) -> np.ndarray:
     return piece_samples(lo, hi, n)
 
 
-def _certify_nonneg(f: PiecewiseFn, tol: float = TOL_EVAL) -> None:
+def _certify_nonneg(f: PiecewiseFn) -> None:
     """Raise NegativityDetected unless every piece of f is nonnegative.
 
     A piece whose atoms all have c > 0 and an even log power is nonnegative
     term by term.  Any other piece is refused if its value at one of its
-    _check_points falls below -tol * max(1, largest |value| there).  On a
+    _check_points falls below -TOL_EVAL * max(1, largest |value| there).  On a
     log-free piece with integer exponents those points hold the piece's
     smallest and largest values, so the certificate is exact on the whole
     checked range; other pieces are sampled at 256 points.
@@ -256,7 +256,7 @@ def _certify_nonneg(f: PiecewiseFn, tol: float = TOL_EVAL) -> None:
         xs = _check_points(f.breakpoints[i], f.breakpoints[i + 1], c, a, k,
                            _SAMPLES_PER_PIECE)
         vals = _sum_at(c, a, k, xs)
-        bad = np.flatnonzero(vals < -tol * max(1.0, np.abs(vals).max()))
+        bad = np.flatnonzero(vals < -TOL_EVAL * max(1.0, np.abs(vals).max()))
         if bad.size:
             x, v = float(xs[bad[0]]), float(vals[bad[0]])
             raise NegativityDetected(
@@ -333,10 +333,10 @@ def right_value(f: PiecewiseFn, i: int) -> float:
     return atoms_value(f.pieces[i], f.breakpoints[i])
 
 
-def is_nonincreasing(f: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
+def is_nonincreasing(f: PiecewiseFn) -> bool:
     """Monotonicity check, exact on log-free pieces with integer exponents.
 
-    True iff x*f'(x) stays below tol * max(1, |f(x)|) at the _check_points
+    True iff x*f'(x) stays below TOL_EVAL * max(1, |f(x)|) at the _check_points
     of every piece and f does not jump upward at any breakpoint.  The
     x-weighting makes the test invariant under dilation and coefficient
     scaling.  A log-free piece whose atoms all have a*c <= 0 is
@@ -356,11 +356,11 @@ def is_nonincreasing(f: PiecewiseFn, tol: float = TOL_EVAL) -> bool:
         qk = np.concatenate([k, k[logs] - 1.0])
         xs = _check_points(f.breakpoints[i], f.breakpoints[i + 1], qc, qa, qk, 128)
         slopes = _sum_at(qc, qa, qk, xs)
-        if (slopes > tol * np.maximum(1.0, np.abs(_sum_at(c, a, k, xs)))).any():
+        if (slopes > TOL_EVAL * np.maximum(1.0, np.abs(_sum_at(c, a, k, xs)))).any():
             return False
     for i in range(1, len(f.breakpoints) - 1):
         lv, rv = left_value(f, i), right_value(f, i)
-        if rv > lv + tol * max(1.0, abs(lv), abs(rv)):
+        if rv > lv + TOL_EVAL * max(1.0, abs(lv), abs(rv)):
             return False
     return True
 

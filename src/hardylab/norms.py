@@ -22,13 +22,14 @@ regions share one error budget.
   * the integrands are compiled once into numpy arrays, and every
     evaluation is one call over a batch of Gauss7/Kronrod15 segments of any
     regions: the seeds of all regions, each cutoff push, and each round of
-    the adaptive loop.  The segments of an integral sit in one heap, as in
-    QUADPACK's qags/qagi; a round bisects the worst segments, as many as the
-    summed error of the whole integral, remainders included, needs to meet
-    max(tol, 1e-12 * |value|).  The pair difference is the local error
-    estimate and the global error is the sum of local estimates.
+    the adaptive loop.  The segments of an integral sit in one list, sorted
+    worst first each round like QUADPACK's qags/qagi error list; a round
+    bisects the worst segments, as many as the summed error of the whole
+    integral, remainders included, needs to meet max(tol, 1e-12 * |value|).
+    The pair difference is the local error estimate and the global error is
+    the sum of local estimates.
   * integrals computed together (lp_norms) share each evaluator call, but
-    each keeps its own heap, budget, cutoffs and err, and fails alone.
+    each keeps its own segments, budget, cutoffs and err, and fails alone.
   * divergence is decided up front by the leading-exponent tests: at zero
     a_min * p <= -1 diverges, on the unbounded piece a_max * p >= -1 does.
 
@@ -43,7 +44,6 @@ All results are estimates validated by refinement, not certified enclosures.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,7 +69,7 @@ _REL_FLOOR = 1e-12
 
 _LN_HUGE = 700.0
 _E = math.e
-_MAX_INTERVALS = 4096  # segment cap of one adaptive heap
+_MAX_INTERVALS = 4096  # segment cap of one integral
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float
 
     Valid for t >= 1, i.e. x <= 1/e on the zero side and x >= e on the tail:
     each atom is dominated there by (sum |c|) * x**a_ext * |ln x|**k_max with
-    a_ext the extreme exponent of its factor.
+    a_ext the extreme exponent of its factor.  NormDiverges if s <= 0.
     """
     log_m = math.log(pi.const)
     expo = 0.0
@@ -269,6 +269,8 @@ def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float
         q += power * max(a.log_power for a in atoms)
         log_m += power * math.log(sum(abs(a.coef) for a in atoms))
     s = (expo + 1.0) if at_zero else -(expo + 1.0)
+    if s <= 0.0:
+        raise NormDiverges(f"integral diverges at {'zero' if at_zero else 'infinity'}")
     return log_m, s, q
 
 
@@ -291,27 +293,14 @@ def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
     raise NotConverged("remainder bound does not reach the error budget")
 
 
-def _log_end(pi: _ProductIntegrand, reg: int, t0: float, at_zero: bool) -> list:
-    """Region ``reg``: the (0, e**-t0] or [e**t0, inf) end in log coordinates.
-
-    Returns [reg, envelope, cutoff, remainder]; _integrate moves the cutoff
-    from t0.
-    """
-    env = _envelope(pi, at_zero)
-    if env[1] <= 0.0:
-        where = "zero" if at_zero else "infinity"
-        raise NormDiverges(f"integral diverges at {where}")
-    return [reg, env, t0, math.inf]
-
-
 def _integrate(jobs, tol: float) -> list:
     """One integral per job, a list of tasks (pi, lo, hi), sharing evaluator calls.
 
     Task i of all the jobs has regions 3i (zero end), 3i + 1 (interior) and
     3i + 2 (infinity end) of one table; each seed pass, cutoff push and
-    adaptive round is one _gk15_seeds call.  A job keeps its own ends, heap,
-    segment cap and goal max(tol, _REL_FLOOR * |value|), so it returns the
-    (value, err) it would alone, or the NotConverged it would raise.
+    adaptive round is one _gk15_seeds call.  A job keeps its own ends, list of
+    segments, segment cap and goal max(tol, _REL_FLOOR * |value|), so it
+    returns the (value, err) it would alone, or the NotConverged it would raise.
     """
     tasks = [task for job in jobs for task in job]
     owner = [j for j, job in enumerate(jobs) for _ in job]
@@ -321,21 +310,24 @@ def _integrate(jobs, tol: float) -> list:
     for i, (pi, lo, hi) in enumerate(tasks):
         if lo == 0.0:
             lo = min(hi, 1.0 / _E)
-            ends[owner[i]].append(_log_end(pi, 3 * i, -math.log(lo), at_zero=True))
+            ends[owner[i]].append([3 * i, _envelope(pi, True), -math.log(lo), math.inf])
         x1 = max(lo, _E) if math.isinf(hi) else hi
         if lo < x1:
             seeds[owner[i]] += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
         if math.isinf(hi):
-            ends[owner[i]].append(_log_end(pi, 3 * i + 2, math.log(x1), at_zero=False))
+            ends[owner[i]].append([3 * i + 2, _envelope(pi, False), math.log(x1), math.inf])
 
     def run(live, batch):
-        """Segments of the live jobs' seeds; a non-finite value fails a job."""
+        """Evaluate the live jobs' seeds into their segments; a non-finite value
+        fails a job.  Returns the live jobs not failed."""
         items, fails = _gk15_seeds(fn, [seed for j in live for seed in batch[j]])
+        for item in items:
+            segs[owner[item[1] // 3]].append(item)
         for reg, x in fails:
             j = owner[reg // 3]
             if out[j] is None:
                 out[j] = NotConverged(f"non-finite integrand value near x={x}")
-        return items
+        return [j for j in live if out[j] is None]
 
     live = range(len(jobs))
     for push in range(7):
@@ -344,12 +336,10 @@ def _integrate(jobs, tol: float) -> list:
         # end's value, so tiny integrals (extremal families at small eps) are
         # not polluted by an absolute-scale remainder term
         for j in live:
-            mass = {}
-            for item in segs[j]:
-                mass[item[1]] = mass.get(item[1], 0.0) + item[4]
             for end in ends[j]:
                 reg, env, t_cut, rem = end
-                goal = max(0.1 * _REL_FLOOR * (abs(mass.get(reg, 0.0)) + rem), 1e-320)
+                mass = sum(item[4] for item in segs[j] if item[1] == reg)
+                goal = max(0.1 * _REL_FLOOR * (abs(mass) + rem), 1e-320)
                 goal = goal if push else tol / (4.0 * len(ends[j]))
                 try:
                     t_new = _choose_cutoff(*env, t_cut, goal) if rem > goal else t_cut
@@ -362,47 +352,39 @@ def _integrate(jobs, tol: float) -> list:
         live = [j for j in live if out[j] is None and seeds[j]]
         if not live:
             break
-        for item in run(live, seeds):
-            segs[owner[item[1] // 3]].append(item)
+        run(live, seeds)
         seeds = [[] for _ in jobs]
     # global adaptive bisection: each round a job bisects its worst segments, as
     # many as its goal needs, until its interval cap or the floating floor
     rems = [0.5 * sum(end[3] for end in job_ends) for job_ends in ends]
 
-    def totals(j):  # [value, err] of job j, half the remainder bound in each
-        return [sum(item[4] for item in segs[j]) + rems[j],
-                rems[j] - sum(item[0] for item in segs[j])]
+    def totals(j):  # (value, err) of job j, half the remainder bound in each
+        return (sum(item[4] for item in segs[j]) + rems[j],
+                rems[j] - sum(item[0] for item in segs[j]))
 
-    for heap in segs:
-        heapq.heapify(heap)
-    acc = [totals(j) for j in range(len(jobs))]
     live = [j for j in range(len(jobs)) if out[j] is None]
     while live:
         children = {}
         for j in live:
-            heap, (value, err), popped = segs[j], acc[j], []
+            items = segs[j]
+            items.sort()  # worst first; ties by region, then a
+            value, err = totals(j)
             goal = max(tol, _REL_FLOOR * abs(value))
-            while err > goal and len(heap) + 2 * len(popped) < _MAX_INTERVALS:
-                neg_e, _, a, b, _ = heap[0]
+            n = 0
+            while err > goal and len(items) + n < _MAX_INTERVALS:
+                neg_e, _, a, b, _ = items[n]
                 if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
                     break  # splitting is below double precision resolution
-                popped.append(heapq.heappop(heap))
                 err += neg_e
-            if popped:
-                acc[j] = [value - sum(item[4] for item in popped), err]
-                children[j] = [half for _, r, a, b, _ in popped
+                n += 1
+            if n:
+                children[j] = [half for _, r, a, b, _ in items[:n]
                                for half in ((r, a, 0.5 * (a + b)), (r, 0.5 * (a + b), b))]
-        live = list(children)
-        for item in run(live, children):
-            j = owner[item[1] // 3]
-            heapq.heappush(segs[j], item)
-            acc[j][0] += item[4]
-            acc[j][1] -= item[0]
-        live = [j for j in live if out[j] is None]
+                del items[:n]
+        live = run(list(children), children)
     for j in range(len(jobs)):
         if out[j] is None:
-            # re-sum in spatial order: deterministic and free of heap-update drift
-            segs[j].sort(key=lambda item: item[1:3])
+            segs[j].sort(key=lambda item: item[1:3])  # sum in spatial order
             v, e = totals(j)
             missed = e > max(tol, _REL_FLOOR * abs(v))
             e += 1e-16 * abs(v)
@@ -556,6 +538,26 @@ def _quad_with_singularities(fn, a, b, singular, budget):
     return float(value), float(err + 1e-16 * abs(value))
 
 
+def _grid_nodes(grid, singular):
+    """The grid, checked, plus the singular points inside it; and those points."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
+        raise ValueError("grid must be an increasing sequence of positive reals")
+    cuts = sorted({s for s in singular if g[0] < s < g[-1]})
+    return np.union1d(g, cuts), cuts
+
+
+def _pchip(g, vals, cuts):
+    """The monotone cubic through (g, vals), one PCHIP per stretch between
+    cuts: a cubic across a kink overshoots, and a node there alone flattens
+    the slope at the kink to 0."""
+    from scipy.interpolate import PchipInterpolator, PPoly
+
+    ends = [0, *np.searchsorted(g, cuts).tolist(), len(g) - 1]
+    return PPoly(np.hstack([PchipInterpolator(g[i:k + 1], vals[i:k + 1]).c
+                            for i, k in zip(ends, ends[1:])]), g)
+
+
 def numeric_hardy(f: CallableFn, grid) -> CallableFn:
     """Tabulated average of a black-box nonnegative function.
 
@@ -563,23 +565,19 @@ def numeric_hardy(f: CallableFn, grid) -> CallableFn:
     quadrature, interpolated by a monotone cubic (cumulative integrals of
     nonnegative integrands are monotone, and shape beats raw accuracy here),
     and divided by x.  Below the grid the hinted power is used; beyond it the
-    cumulative is frozen, which is exact for compactly supported inputs.  The
-    grid nodes are the output's singular points: the cubic's second
-    derivative jumps there.
+    cumulative is frozen, which is exact for compactly supported inputs.  f's
+    singular points inside the grid become nodes (see _pchip); the nodes are
+    the output's singular points.
     """
     if f.zero_exponent_hint <= -1.0:
         raise DivergentAtZero(
             f"hinted exponent {f.zero_exponent_hint} at 0 is not integrable"
         )
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be an increasing sequence of positive reals")
+    g, cuts = _grid_nodes(grid, f.singular_points)
     cum = np.cumsum([_quad_with_singularities(f.evaluator, lo, hi,
                                               f.singular_points, 1e-12)[0]
                      for lo, hi in zip([0.0, *g[:-1]], g)])
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(g, cum)
+    interp = _pchip(g, cum, cuts)
     g0, g_last = float(g[0]), float(g[-1])
     cum0, cum_last = float(cum[0]), float(cum[-1])
     zh = f.zero_exponent_hint
@@ -602,12 +600,10 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
 
     A nonnegative tail hint is accepted only when the function actually
     vanishes past the grid (compact support).  Below the first node g0, f is
-    continued as f(g0) * (x/g0)**a, a the zero hint.  The grid nodes are the
-    output's singular points: the cubic's second derivative jumps there.
+    continued as f(g0) * (x/g0)**a, a the zero hint.  The nodes, as in
+    numeric_hardy, are the output's singular points.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 2 or g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
-        raise ValueError("grid must be an increasing sequence of positive reals")
+    g, cuts = _grid_nodes(grid, f.singular_points)
     g_last = float(g[-1])
     if f.tail_exponent_hint >= 0.0:
         if any(f.evaluator(g_last * m) > 0.0 for m in (2.0, 10.0, 100.0)):
@@ -618,9 +614,7 @@ def numeric_dual_hardy(f: CallableFn, grid) -> CallableFn:
     vals = np.cumsum([_quad_with_singularities(over_t, lo, hi, f.singular_points,
                                                1e-12)[0]
                       for lo, hi in zip(g[::-1], [math.inf, *g[:0:-1]])])[::-1]
-    from scipy.interpolate import PchipInterpolator
-
-    interp = PchipInterpolator(g, vals)
+    interp = _pchip(g, vals, cuts)
     g0 = float(g[0])
     s0, s_last = float(vals[0]), float(vals[-1])
     f0 = f.evaluator(g0)

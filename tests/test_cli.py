@@ -192,10 +192,6 @@ class TestFuzzGenerate:
             f = fuzz_generate(FuzzConfig(seed=seed))
             assert verify_crude(f, 2.0).holds
 
-    def test_n_pieces_validation(self):
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=1, n_pieces=7)
-
 
 class TestRun:
     def test_verify_holds_exit_zero(self):

@@ -95,6 +95,47 @@ class TestLpNorms:
         assert lp_norms([], 2.0) == []
 
 
+#: 1 - x on (0, 2]: |g|**1.5 has a kink at x = 1, and its integral is 0.8.
+KINKED = make_piecewise([0, 2, INF], [[(1, 0, 0), (-1, 1, 0)], []])
+
+
+class TestStopRules:
+    """The adaptive loop's stops: the segment cap and the divergent end."""
+
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        from hardylab import norms
+
+        monkeypatch.setattr(norms, "_MAX_INTERVALS", 16)  # KINKED needs 29 segments
+
+    def test_capped_norm_not_converged(self, small_cap):
+        with pytest.raises(NotConverged, match="error budget") as exc:
+            lp_norm(KINKED, 1.5, 1e-9)
+        partial = exc.value.partial
+        assert partial.err > 1e-9
+        assert abs(partial.value - 0.8) <= partial.err
+
+    def test_capped_norm_fails_alone(self, small_cap):
+        bad, good = lp_norms([KINKED, chi01()], 1.5)
+        assert good == lp_norm(chi01(), 1.5)
+        with pytest.raises(NotConverged) as alone:
+            lp_norm(KINKED, 1.5)
+        assert isinstance(bad, NotConverged) and str(bad) == str(alone.value)
+        assert bad.partial == alone.value.partial
+
+    @pytest.mark.parametrize("exponent, lo, hi, where", [
+        (-0.6, 0.0, 1.0, "zero"),
+        (-0.4, 1.0, INF, "infinity"),
+    ])
+    def test_divergent_end_raises(self, exponent, lo, hi, where):
+        from hardylab.funcmodel import PowerLogAtom
+        from hardylab.norms import _integrate, _ProductIntegrand
+
+        pi = _ProductIntegrand(1.0, (((PowerLogAtom(1.0, exponent),), 2.0),))
+        with pytest.raises(NormDiverges, match=f"diverges at {where}"):
+            _integrate([[(pi, lo, hi)]], 1e-9)
+
+
 class TestLpNorm:
     def test_average_of_characteristic(self):
         res = lp_norm(hardy(chi01()), 2.0)
@@ -245,6 +286,15 @@ class TestNumericOracles:
         chi = CallableFn(lambda x: 1.0 if x <= 1.0 else 0.0, singular_points=(1.0,))
         d = numeric_dual_hardy(chi, np.geomspace(1e-3, 4.0, 80))
         assert abs(lp_norm_callable(d, 2.0).value - math.sqrt(2.0)) <= 1e-4
+
+    @pytest.mark.parametrize("x", [1.0, 0.95])
+    def test_no_overshoot_across_a_listed_jump(self, x):
+        # chi(0,1]'s averages have a kink at 1, between two nodes of the grid:
+        # H chi = 1 and H* chi = ln(1/x) up to x = 1
+        chi = CallableFn(lambda t: 1.0 if t <= 1.0 else 0.0, singular_points=(1.0,))
+        grid = np.geomspace(1e-3, 4.0, 80)
+        assert abs(numeric_hardy(chi, grid)(x) - 1.0) <= 1e-12
+        assert abs(numeric_dual_hardy(chi, grid)(x) - math.log(1.0 / x)) <= 1e-4
 
     def test_numeric_dual_of_step_constant_below_support(self):
         eps = 0.25
