@@ -19,7 +19,6 @@ equality within the floating floor counts as Holds.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,25 +141,40 @@ def _report(num: QuadResult, den: QuadResult, bounds: Constants) -> Verification
     )
 
 
-@functools.lru_cache(maxsize=1)
+#: The last f verified, compared by value, and what was built from it: Hf,
+#: H*f once some p has passed Hf's divergence test, and the last norm pair
+#: under its (p, tol).  Holding f means f was certified nonnegative.  Each
+#: entry is read once, so calls racing on the memo only repeat work.
+_memo: dict = {}
+
+
 def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadResult]:
     """(||H*f||_p, ||Hf||_p), the numerator and denominator of both verdicts.
 
     An f whose ``nonneg`` flag is unset is certified first, so a signed
     input raises NegativityDetected instead of getting a verdict; an a.e.
     zero f raises DegenerateInput.  ||Hf|| is tested for divergence before
-    H*f is built.  The last pair is kept, keyed by value on (f, p, tol), so
-    verify_theorem1 and verify_crude called back to back on equal arguments
-    share it; a raised error is not kept.
+    H*f is built.  ``_memo`` keeps one f, so a run of p values on it builds
+    each operator once, and verify_theorem1 and verify_crude called back to
+    back on equal arguments share one pair; a raised error is not kept.
     """
-    if not f.nonneg:
-        _certify_nonneg(f)
-    hf = hardy(f)
-    check_lp_defined(hf, p)
-    den, num = lp_norms([hf, dual_hardy(f)], p, tol)
-    if unwrap(den).value < DEGENERATE_NORM:
-        raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
-    return unwrap(num), den
+    global _memo
+    memo = _memo
+    if memo.get("f") != f:
+        if not f.nonneg:
+            _certify_nonneg(f)
+        memo = _memo = {"f": f, "hf": hardy(f)}
+    at, pair = memo.get("pair", (None, None))
+    if at != (p, tol):
+        check_lp_defined(memo["hf"], p)
+        if "dual" not in memo:
+            memo["dual"] = dual_hardy(f)
+        den, num = lp_norms([memo["hf"], memo["dual"]], p, tol)
+        if unwrap(den).value < DEGENERATE_NORM:
+            raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
+        pair = unwrap(num), den
+        memo["pair"] = (p, tol), pair
+    return pair
 
 
 def verify_theorem1(f: PiecewiseFn, p: float,

@@ -4,13 +4,14 @@ from hardylab import funcmodel, norms, verify
 
 
 @pytest.fixture(autouse=True)
-def empty_norm_pair_memo():
-    """Empties verify._norm_pair's one-pair memo before every test.
+def empty_verify_memo():
+    """Empties verify._memo, the one f kept with its Hf, H*f and last norm
+    pair, before every test.
 
-    Without it, a test that patches verify.lp_norms could be served a pair
-    that an earlier test computed.
+    Without it, a test that patches verify.lp_norms, hardy or dual_hardy
+    could be served an operator or a pair that an earlier test computed.
     """
-    verify._norm_pair.cache_clear()
+    verify._memo.clear()
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hardylab.cli import FuzzConfig, fuzz_generate
+from hardylab.cli import FuzzConfig, fuzz_generate, parse_function_spec
 from hardylab.errors import (
     BadExponent,
     DegenerateInput,
@@ -128,8 +128,23 @@ class TestNonnegCertificate:
 
 
 class TestNormPairMemo:
-    """verify_theorem1 and verify_crude on equal (f, p, tol) share one pair
-    of norms; the memo keeps only the last pair."""
+    """verify keeps one f: its Hf and H*f serve every p, and verify_theorem1
+    and verify_crude on equal (f, p, tol) share one pair of norms; the memo
+    keeps only the last pair, and no error."""
+
+    @pytest.fixture
+    def operator_calls(self, monkeypatch):
+        """Counts verify's calls of hardy and dual_hardy, by name."""
+        import hardylab.verify as verify
+
+        calls = {"hardy": 0, "dual_hardy": 0}
+        for name in calls:
+            def counted(f, name=name, real=getattr(verify, name)):
+                calls[name] += 1
+                return real(f)
+
+            monkeypatch.setattr(verify, name, counted)
+        return calls
 
     @pytest.fixture
     def lp_norm_calls(self, monkeypatch):
@@ -178,15 +193,87 @@ class TestNormPairMemo:
         verify_crude(f, 3.0)
         assert lp_norm_calls() == 6
 
+    def test_operators_built_once_over_the_grid(self, operator_calls):
+        f = chi01()
+        for p in P_GRID:
+            verify_theorem1(f, p)
+            verify_crude(f, p)
+        assert operator_calls == {"hardy": 1, "dual_hardy": 1}
+
+    def test_value_equal_f_rebuilt_between_p_hits(self, operator_calls):
+        verify_theorem1(chi01(), 2.0)
+        verify_theorem1(chi01(), 3.0)
+        assert operator_calls == {"hardy": 1, "dual_hardy": 1}
+
+    def test_reports_equal_a_cleared_memo(self):
+        import hardylab.verify as verify
+
+        f = fuzz_generate(FuzzConfig(seed=23))
+        kept = [(verify_theorem1(f, p), verify_crude(f, p)) for p in P_GRID]
+        fresh = []
+        for p in P_GRID:
+            verify._memo.clear()
+            fresh.append((verify_theorem1(f, p), verify_crude(f, p)))
+        assert kept == fresh
+
+    def test_divergent_hf_never_builds_the_dual(self, operator_calls):
+        tail = make_piecewise([0, 1, INF], [[], [(1, 0, 0)]])
+        for p in (2.0, 3.0):
+            with pytest.raises(NormDiverges):
+                verify_theorem1(tail, p)
+        assert operator_calls["dual_hardy"] == 0
+
+    def test_divergence_at_one_p_kept_from_the_next(self):
+        import hardylab.verify as verify
+
+        # Hf ~ x^-0.3 at infinity: divergent at p = 2, finite at p = 4
+        f = parse_function_spec("chi(0,1) + pow(-0.3,1,inf)")
+        with pytest.raises(NormDiverges):
+            verify_theorem1(f, 2.0)
+        after = verify_theorem1(f, 4.0)
+        verify._memo.clear()
+        assert verify_theorem1(f, 4.0) == after
+
+    def test_threads_racing_on_the_memo_get_their_own_reports(self):
+        import sys
+        import threading
+
+        fs = [fuzz_generate(FuzzConfig(seed=seed)) for seed in (23, 67, 5, 11)]
+        ps = (1.5, 3.0)
+        want = {(i, p): verify_theorem1(f, p) for i, f in enumerate(fs) for p in ps}
+        got, errors = [], []
+
+        def work(i):
+            try:
+                for _ in range(25):
+                    for p in ps:
+                        got.append(((i, p), verify_theorem1(fs[i], p)))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 200 and all(rep == want[key] for key, rep in got)
+
     @pytest.mark.parametrize("pieces, error", [
         ([[]], DegenerateInput),
         ([[(1, 0, 0)], [(-3, 0, 0)], []], NegativityDetected),
     ], ids=["degenerate", "signed"])
     def test_errors_raised_again(self, pieces, error):
         f = make_piecewise([0, *range(1, len(pieces)), INF], pieces)
-        for check in (verify_theorem1, verify_crude):
-            with pytest.raises(error):
-                check(f, 3.0)
+        for p in (2.0, 3.0):
+            for check in (verify_theorem1, verify_crude):
+                with pytest.raises(error):
+                    check(f, p)
 
 
 class TestCrude:
