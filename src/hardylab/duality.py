@@ -83,7 +83,7 @@ def phi_to_f(phi: PiecewiseFn) -> PiecewiseFn:
         )
         for piece in d.pieces
     )
-    return PiecewiseFn(phi.breakpoints, pieces, nonneg=True)
+    return PiecewiseFn(phi.breakpoints, pieces)
 
 
 def f_to_phi(f: PiecewiseFn) -> PiecewiseFn:
@@ -151,7 +151,7 @@ def mollify(phi: PiecewiseFn, n: int) -> PiecewiseFn:
         atoms += [PowerLogAtom(-n * a.coef, a.exponent, a.log_power)
                   for a in big_a.pieces[i]]
         pieces.append(collect_atoms(atoms))
-    return PiecewiseFn(new_bps, tuple(pieces), nonneg=phi.nonneg)
+    return PiecewiseFn(new_bps, tuple(pieces))
 
 
 def sample_grid(phi: PiecewiseFn, n: int = 64) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,14 +124,11 @@ def atoms_value(atoms, x: float) -> float:
 class PiecewiseFn:
     """A validated piecewise power-log function on (0, inf).
 
-    ``nonneg`` records that nonnegativity has been certified, either at
-    construction time (see make_piecewise) or analytically (the averaging
-    operators preserve nonnegativity).
+    No sign certificate is kept; verify checks the f it is given.
     """
 
     breakpoints: tuple[float, ...]
     pieces: tuple[tuple[PowerLogAtom, ...], ...]
-    nonneg: bool = False
 
     @property
     def n_pieces(self) -> int:
@@ -169,10 +166,9 @@ def make_piecewise(breakpoints, pieces, require_nonneg: bool = False) -> Piecewi
             f"{len(bps) - 1} pieces expected, got {len(pieces)}"
         )
     norm_pieces = tuple(collect_atoms(as_atom(a) for a in piece) for piece in pieces)
-    f = PiecewiseFn(bps, norm_pieces, nonneg=False)
+    f = PiecewiseFn(bps, norm_pieces)
     if require_nonneg:
         _certify_nonneg(f)
-        f = replace(f, nonneg=True)
     return f
 
 
@@ -320,7 +316,7 @@ def derivative(f: PiecewiseFn) -> PiecewiseFn:
         collect_atoms(d for at in piece for d in derivative_atoms(at))
         for piece in f.pieces
     )
-    return PiecewiseFn(f.breakpoints, pieces, nonneg=False)
+    return PiecewiseFn(f.breakpoints, pieces)
 
 
 def left_value(f: PiecewiseFn, i: int) -> float:
@@ -384,8 +380,7 @@ def linear_combination(f: PiecewiseFn, g: PiecewiseFn,
         atoms += [PowerLogAtom(cg * a.coef, a.exponent, a.log_power)
                   for a in g.pieces[gi]]
         pieces.append(collect_atoms(atoms))
-    nonneg = f.nonneg and g.nonneg and cf >= 0.0 and cg >= 0.0
-    return PiecewiseFn(bps, tuple(pieces), nonneg=nonneg)
+    return PiecewiseFn(bps, tuple(pieces))
 
 
 def add(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
@@ -401,7 +396,7 @@ def scale(f: PiecewiseFn, c: float) -> PiecewiseFn:
         collect_atoms(PowerLogAtom(c * a.coef, a.exponent, a.log_power) for a in piece)
         for piece in f.pieces
     )
-    return PiecewiseFn(f.breakpoints, pieces, nonneg=f.nonneg and c >= 0.0)
+    return PiecewiseFn(f.breakpoints, pieces)
 
 
 def dilate(f: PiecewiseFn, lam: float) -> PiecewiseFn:
@@ -424,4 +419,4 @@ def dilate(f: PiecewiseFn, lam: float) -> PiecewiseFn:
                     base * math.comb(at.log_power, j) * llam ** (at.log_power - j),
                     at.exponent, j))
         pieces.append(collect_atoms(atoms))
-    return PiecewiseFn(bps, tuple(pieces), nonneg=f.nonneg)
+    return PiecewiseFn(bps, tuple(pieces))

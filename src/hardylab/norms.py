@@ -137,8 +137,8 @@ _W = np.array([_WK, _WG])
 
 def _gk15(fn, reg, a, b):
     """Kronrod-15 values and |K15 - G7| errors of n segments (arrays of region
-    ids and ends), and (row, node) of each row's first non-finite integrand
-    value; all n * 15 nodes go to one fn call.  einsum sums a row in a fixed
+    ids and ends), and (row, node, value) of each row's first non-finite
+    integrand value, all from one fn call.  einsum sums a row in a fixed
     order, where a BLAS matmul rounds it by its place in the batch."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XI
@@ -146,20 +146,20 @@ def _gk15(fn, reg, a, b):
     s_k, s_g = np.einsum("ij,kj->ki", fv, _W)
     bad = ~np.isfinite(fv)
     rows = np.flatnonzero(bad.any(1)) if bad.any() else ()
-    fails = [(r, nodes[r][bad[r]][0]) for r in rows]
+    fails = [(r, nodes[r][bad[r]][0], fv[r][bad[r]][0]) for r in rows]
     return s_k * half, np.abs(s_k - s_g) * np.abs(half), fails
 
 
 def _gk15_seeds(fn, seeds) -> tuple[list, list]:
     """(-err, region, a, b, value) of every non-empty (region, a, b) seed, and
-    (region, node) of the first non-finite integrand value of a seed with one."""
+    (region, node, value) at each seed's first non-finite integrand value."""
     seeds = [seed for seed in seeds if seed[2] > seed[1]]
     if not seeds:
         return [], []
     reg, a, b = (np.array(col) for col in zip(*seeds))
     v, e, fails = _gk15(fn, reg, a, b)
     return (list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist())),
-            [(seeds[r][0], x) for r, x in fails])
+            [(seeds[r][0], x, v) for r, x, v in fails])
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
@@ -323,10 +323,14 @@ def _integrate(jobs, tol: float) -> list:
         items, fails = _gk15_seeds(fn, [seed for j in live for seed in batch[j]])
         for item in items:
             segs[owner[item[1] // 3]].append(item)
-        for reg, x in fails:
+        for reg, t, v in fails:
             j = owner[reg // 3]
             if out[j] is None:
-                out[j] = NotConverged(f"non-finite integrand value near x={x}")
+                with np.errstate(over="ignore"):  # an end's node is t = -+ln x
+                    x = t if reg % 3 == 1 else float(np.exp((reg % 3 - 1) * t))
+                what = ("integrand overflows the double range" if v == math.inf
+                        else "non-finite integrand value")
+                out[j] = NotConverged(f"{what} near x={x}")
         return [j for j in live if out[j] is None]
 
     live = range(len(jobs))

@@ -15,7 +15,6 @@ numerical limits.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .errors import DivergentAtInfinity, DivergentAtZero, NotMonotone
 from .funcmodel import (
@@ -54,18 +53,14 @@ def cumulative_integral(f: PiecewiseFn) -> PiecewiseFn:
         pieces.append(collect_atoms((*g, PowerLogAtom(acc - g_lo, 0.0, 0))))
         if not math.isinf(hi):
             acc += atoms_value(g, hi) - g_lo
-    return PiecewiseFn(f.breakpoints, tuple(pieces), nonneg=f.nonneg)
+    return PiecewiseFn(f.breakpoints, tuple(pieces))
 
 
 def hardy(f: PiecewiseFn) -> PiecewiseFn:
-    """The average (Hf)(x) = (1/x) * integral of f over (0, x], exactly.
-
-    Nonnegativity is preserved analytically, so the output inherits the
-    input's certificate.
-    """
+    """The average (Hf)(x) = (1/x) * integral of f over (0, x], exactly."""
     g = cumulative_integral(f)
     pieces = tuple(_shift_exponent(piece, -1.0) for piece in g.pieces)
-    return PiecewiseFn(f.breakpoints, pieces, nonneg=f.nonneg)
+    return PiecewiseFn(f.breakpoints, pieces)
 
 
 def dual_hardy(f: PiecewiseFn) -> PiecewiseFn:
@@ -96,16 +91,14 @@ def dual_hardy(f: PiecewiseFn) -> PiecewiseFn:
         pieces[i] = collect_atoms((PowerLogAtom(const, 0.0, 0), *negated))
         if i > 0:
             tail += g_hi - atoms_value(g, lo)
-    return PiecewiseFn(f.breakpoints, tuple(pieces), nonneg=f.nonneg)
+    return PiecewiseFn(f.breakpoints, tuple(pieces))
 
 
 def hardy_minus_identity(phi: PiecewiseFn) -> PiecewiseFn:
     """H(phi) - phi for nonincreasing nonnegative phi.
 
-    The difference equals the average of u*|phi'(u)| and is therefore
-    nonnegative; the output is marked accordingly.
+    The difference is the average of u*|phi'(u)|, so it is nonnegative.
     """
     if not is_nonincreasing(phi):
         raise NotMonotone("the difference operator needs a nonincreasing input")
-    out = subtract(hardy(phi), phi)
-    return replace(out, nonneg=True)
+    return subtract(hardy(phi), phi)

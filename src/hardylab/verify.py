@@ -46,7 +46,6 @@ class Constants:
     """A two-sided constant pair for the norm ratio at exponent p."""
 
     p: float
-    p_conj: float
     lower: float
     upper: float
 
@@ -91,14 +90,14 @@ def sharp_constants(p: float) -> Constants:
         lower, upper = p - 1.0, root
     else:
         lower, upper = root, p - 1.0
-    return Constants(p, conjugate(p), lower, upper)
+    return Constants(p, lower, upper)
 
 
 def crude_constants(p: float) -> Constants:
     """The classical non-sharp pair (1/p', p)."""
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1, got {p}")
-    return Constants(p, conjugate(p), 1.0 / conjugate(p), p)
+    return Constants(p, 1.0 / conjugate(p), p)
 
 
 def _ratio_with_err(num: QuadResult, den: QuadResult) -> tuple[float, float]:
@@ -151,18 +150,17 @@ _memo: dict = {}
 def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadResult]:
     """(||H*f||_p, ||Hf||_p), the numerator and denominator of both verdicts.
 
-    An f whose ``nonneg`` flag is unset is certified first, so a signed
-    input raises NegativityDetected instead of getting a verdict; an a.e.
-    zero f raises DegenerateInput.  ||Hf|| is tested for divergence before
-    H*f is built.  ``_memo`` keeps one f, so a run of p values on it builds
+    Each f not in ``_memo`` is certified first, so a signed input raises
+    NegativityDetected instead of getting a verdict; an a.e. zero f raises
+    DegenerateInput.  ||Hf|| is tested for divergence before H*f is built.
+    ``_memo`` keeps one f, so a run of p values on it certifies f and builds
     each operator once, and verify_theorem1 and verify_crude called back to
     back on equal arguments share one pair; a raised error is not kept.
     """
     global _memo
     memo = _memo
     if memo.get("f") != f:
-        if not f.nonneg:
-            _certify_nonneg(f)
+        _certify_nonneg(f)
         memo = _memo = {"f": f, "hf": hardy(f)}
     at, pair = memo.get("pair", (None, None))
     if at != (p, tol):
@@ -181,7 +179,7 @@ def verify_theorem1(f: PiecewiseFn, p: float,
                     tol: float = DEFAULT_TOL) -> VerificationReport:
     """Check the sharp two-sided bounds on ||H*f||_p / ||Hf||_p.
 
-    An f not flagged nonnegative is certified first; a signed f raises
+    f is certified nonnegative, once per f; a signed f raises
     NegativityDetected.
     """
     bounds = sharp_constants(p)

@@ -17,7 +17,8 @@ from hardylab.cli import (
     run,
 )
 from hardylab.errors import ParseError
-from hardylab.funcmodel import add, evaluate, is_nonincreasing, make_piecewise
+from hardylab.funcmodel import (_certify_nonneg, add, evaluate, is_nonincreasing,
+                                make_piecewise)
 from hardylab.verify import verify_crude
 
 INF = math.inf
@@ -172,8 +173,7 @@ class TestDslSum:
                                         for b in bps[:-1]])
             ref = term if ref is None else add(ref, term)
         f = parse_function_spec(text)
-        assert (f.breakpoints, f.pieces, f.nonneg) == (ref.breakpoints, ref.pieces,
-                                                       ref.nonneg)
+        assert f == ref
 
 
 class TestFuzzGenerate:
@@ -185,7 +185,7 @@ class TestFuzzGenerate:
         for seed in (1, 2, 3, 4, 5):
             phi = fuzz_generate(FuzzConfig(seed=seed, monotone=True))
             assert is_nonincreasing(phi)
-            assert phi.nonneg
+            _certify_nonneg(phi)
 
     def test_general_mode_admissible(self):
         for seed in (10, 20, 30):
@@ -294,6 +294,20 @@ class TestRun:
         assert code == 3
         assert out == ""
         assert "NegativityDetected" in err
+
+    @pytest.mark.parametrize("spec, lo, hi", [
+        ('{"breakpoints":[0,3,"inf"],"pieces":[[],[{"c":1e40,"a":-2,"k":0}]]}', 3.0, INF),
+        ('{"breakpoints":[0,0.1,"inf"],"pieces":[[{"c":1e40,"a":0.5,"k":0}],[]]}', 0.0, 0.1),
+        ('{"breakpoints":[0,1,"inf"],"pieces":[[{"c":1e40,"a":0,"k":0}],[]]}', 0.0, 1.0),
+    ], ids=["infinity-end", "zero-end", "interior"])
+    def test_overflow_named_inside_support(self, spec, lo, hi):
+        # |f|**8 overflows doubles; the message names an x where f lives
+        code, out, err = capture(["norm", "-f", spec, "-p", "8"])
+        assert code == 2
+        assert out == ""
+        assert "integrand overflows the double range" in err
+        x = float(err.split("near x=")[1].split()[0])
+        assert lo < x <= hi
 
     def test_fuzz_computes_each_norm_pair_once(self, monkeypatch):
         import hardylab.verify as verify

@@ -168,8 +168,7 @@ class TestMakePiecewise:
 
     def test_mixed_sign_nonneg_certified(self):
         # -ln x is positive on (0, 1) even though its only atom is negative
-        f = make_piecewise([0, 1, INF], [[(-1, 0, 1)], []], require_nonneg=True)
-        assert f.nonneg
+        make_piecewise([0, 1, INF], [[(-1, 0, 1)], []], require_nonneg=True)
 
     @pytest.mark.parametrize("piece", [
         [(1, 0, 0), (-2, 1, 0)],  # 1 - 2x < 0 past x = 1/2
@@ -180,9 +179,8 @@ class TestMakePiecewise:
             make_piecewise([0, 1, INF], [piece, []], require_nonneg=True)
 
     def test_positive_atoms_certified_without_sampling(self, piece_samples_calls):
-        f = make_piecewise([0, 1, INF], [[(2, 0.5, 0), (1, -1, 2)], [(3, -2, 0)]],
-                           require_nonneg=True)
-        assert f.nonneg
+        make_piecewise([0, 1, INF], [[(2, 0.5, 0), (1, -1, 2)], [(3, -2, 0)]],
+                       require_nonneg=True)
         assert piece_samples_calls() == 0
 
     def test_dip_between_samples_refused(self):
@@ -194,24 +192,22 @@ class TestMakePiecewise:
 
     def test_mixed_sign_polynomial_certified_without_sampling(self, piece_samples_calls):
         # 1 - x on (0, 1], (x - 1.5)**2 on (1, 2]
-        f = make_piecewise([0, 1, 2, INF],
-                           [[(1, 0, 0), (-1, 1, 0)], [(2.25, 0, 0), (-3, 1, 0), (1, 2, 0)], []],
-                           require_nonneg=True)
-        assert f.nonneg
+        make_piecewise([0, 1, 2, INF],
+                       [[(1, 0, 0), (-1, 1, 0)], [(2.25, 0, 0), (-3, 1, 0), (1, 2, 0)], []],
+                       require_nonneg=True)
         assert piece_samples_calls() == 0
 
     def test_overflowing_polynomial_sampled(self, piece_samples_calls):
         # 1e308 * (1 - x**2) on (0, 1]: the derivative's coefficient -2e308
         # overflows, so the piece is sampled, not handed to np.roots
-        f = make_piecewise([0, 1, INF], [[(1e308, 0, 0), (-1e308, 2, 0)], []],
-                           require_nonneg=True)
-        assert f.nonneg
+        make_piecewise([0, 1, INF], [[(1e308, 0, 0), (-1e308, 2, 0)], []],
+                       require_nonneg=True)
         assert piece_samples_calls() == 1
 
     def test_log_pieces_still_sampled(self, piece_samples_calls):
         # -ln x on (0, 1]
         minus_log = [[(-1, 0, 1)], []]
-        assert make_piecewise([0, 1, INF], minus_log, require_nonneg=True).nonneg
+        make_piecewise([0, 1, INF], minus_log, require_nonneg=True)
         assert piece_samples_calls() == 1
         assert is_nonincreasing(make_piecewise([0, 1, INF], minus_log))
         assert piece_samples_calls() == 2

@@ -12,10 +12,11 @@ from hardylab.errors import (
     NormDiverges,
     NotMonotone,
 )
-from hardylab.funcmodel import make_piecewise, scale
+from hardylab.funcmodel import PiecewiseFn, PowerLogAtom, make_piecewise, scale
 from hardylab.verify import (
     P_GRID,
     Verdict,
+    conjugate,
     crude_constants,
     sharp_constants,
     verify_crude,
@@ -35,7 +36,7 @@ class TestConstants:
     def test_joint_point(self):
         c = sharp_constants(2.0)
         assert c.lower == 1.0 and c.upper == 1.0
-        assert c.p_conj == 2.0
+        assert conjugate(2.0) == 2.0
 
     def test_large_p_regime(self):
         c = sharp_constants(3.0)
@@ -61,7 +62,7 @@ class TestConstants:
     def test_ordering(self, p):
         s = sharp_constants(p)
         assert s.lower <= s.upper
-        assert s.p_conj == pytest.approx(p / (p - 1.0))
+        assert conjugate(p) == pytest.approx(p / (p - 1.0))
 
 
 class TestVerdictZones:
@@ -114,17 +115,32 @@ class TestTheorem1:
 
 
 class TestNonnegCertificate:
-    def test_flagged_input_is_not_certified_again(self, monkeypatch):
+    def test_certified_once_per_f(self, monkeypatch):
         import hardylab.verify as verify
 
-        def fail(f):
-            raise AssertionError("certified input sampled again")
+        calls = 0
+        real = verify._certify_nonneg
 
-        monkeypatch.setattr(verify, "_certify_nonneg", fail)
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            real(f)
+
+        monkeypatch.setattr(verify, "_certify_nonneg", counted)
         f = fuzz_generate(FuzzConfig(seed=10))
-        assert f.nonneg
-        assert verify_theorem1(f, 2.0).holds
-        assert verify_crude(f, 2.0).holds
+        for p in P_GRID:
+            assert verify_theorem1(f, p).holds
+            assert verify_crude(f, p).holds
+        assert calls == 1
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("verdict", [verify_theorem1, verify_crude])
+    def test_hand_built_signed_f_refused(self, verdict, p):
+        # 1 on (0,1], -3 on (1,2], built without make_piecewise's check
+        f = PiecewiseFn((0.0, 1.0, 2.0, INF),
+                        ((PowerLogAtom(1.0, 0.0, 0),), (PowerLogAtom(-3.0, 0.0, 0),), ()))
+        with pytest.raises(NegativityDetected):
+            verdict(f, p)
 
 
 class TestNormPairMemo:
