@@ -327,8 +327,8 @@ def _count(text: str) -> int:
 
 def _exponent(text: str) -> float:
     v = float(text)
-    if not v > 1.0:
-        raise argparse.ArgumentTypeError("p must exceed 1")
+    if not 1.0 < v < math.inf:
+        raise argparse.ArgumentTypeError("p must be finite" if v > 1.0 else "p must exceed 1")
     return v
 
 

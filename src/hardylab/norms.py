@@ -283,12 +283,21 @@ def _log_gamma_tail(log_m: float, s: float, q: float, t: float) -> float:
 
 
 def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
-                   target: float) -> float:
+                   target: float) -> tuple[float, float]:
+    """(t, log remainder bound at t) at the first of the steps t <- 1.6*t + 1
+    from max(t0, 1), at most 240, whose bound meets the target.  For q = 0 the
+    bound is M * exp(-s*t) / s, so the steps with s*t short of ln M - ln s -
+    ln target are taken without a gammaincc call, but only below s*t = 700:
+    past about 745 gammaincc underflows to 0, which ends the search there."""
     log_target = math.log(target) if target > 0.0 else -745.0
+    reach = log_m - math.log(s) - log_target if q == 0.0 else -math.inf
+    reach = min(reach - 1e-6 * (1.0 + abs(reach)), 700.0)  # a NaN stays NaN
     t = max(t0, 1.0)
     for _ in range(240):
-        if _log_gamma_tail(log_m, s, q, t) <= log_target:
-            return t
+        if not s * t < reach:
+            log_rem = _log_gamma_tail(log_m, s, q, t)
+            if log_rem <= log_target:
+                return t, log_rem
         t = t * 1.6 + 1.0
     raise NotConverged("remainder bound does not reach the error budget")
 
@@ -345,14 +354,19 @@ def _integrate(jobs, tol: float) -> list:
                 mass = sum(item[4] for item in segs[j] if item[1] == reg)
                 goal = max(0.1 * _REL_FLOOR * (abs(mass) + rem), 1e-320)
                 goal = goal if push else tol / (4.0 * len(ends[j]))
-                try:
-                    t_new = _choose_cutoff(*env, t_cut, goal) if rem > goal else t_cut
-                except NotConverged as exc:
-                    out[j] = exc
-                    break
+                if rem > goal:
+                    try:
+                        t_new, log_rem = _choose_cutoff(*env, t_cut, goal)
+                    except NotConverged as exc:
+                        out[j] = exc
+                        break
+                elif push:
+                    continue
+                else:  # an infinite or NaN tol keeps the first cutoff
+                    t_new, log_rem = t_cut, _log_gamma_tail(*env, t_cut)
                 if t_new > t_cut or not push:
                     seeds[j] += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
-                    end[2:] = t_new, math.exp(min(_log_gamma_tail(*env, t_new), _LN_HUGE))
+                    end[2:] = t_new, math.exp(min(log_rem, _LN_HUGE))
         live = [j for j in live if out[j] is None and seeds[j]]
         if not live:
             break
@@ -401,6 +415,12 @@ def _integrate(jobs, tol: float) -> list:
 # Public norm interface
 
 
+def check_exponent(p: float) -> None:
+    """BadExponent unless 1 < p < inf."""
+    if not 1.0 < p < math.inf:
+        raise BadExponent(f"p must {'be finite' if p > 1.0 else 'exceed 1'}, got {p}")
+
+
 def check_lp_defined(g: PiecewiseFn, p: float) -> None:
     """Leading-exponent integrability tests; raises NormDiverges on failure."""
     if g.pieces[0]:
@@ -446,8 +466,7 @@ def lp_norms(gs, p: float, tol: float = DEFAULT_TOL) -> list:
     lp_norm's of that g alone, or is the NotConverged that lp_norm raises.
     The divergence tests of all the gs run, in order, before any quadrature.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     for g in gs:
         check_lp_defined(g, p)
     jobs = [[(_ProductIntegrand(1.0, ((atoms, p),)), lo, hi)
@@ -488,8 +507,7 @@ def ip_via_parts(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResu
     Must agree with lp_norm(hardy(f), p)**p; keeping the two routes separate
     is the point, so this one never calls the norm of Hf.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     return _identity_integral(f, hardy(f), p / (p - 1.0), p, tol)
 
 
@@ -500,8 +518,7 @@ def ipstar_via_fubini(f: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> Qua
 
     Must agree with lp_norm(dual_hardy(f), p)**p.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     return _identity_integral(f, dual_hardy(f), p, p, tol)
 
 
@@ -646,8 +663,7 @@ def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadR
     estimates come from the quadrature rules, so this is a cross-check
     tool, not a bound certificate.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     if f.zero_exponent_hint * p + 1.0 <= 0.0:
         raise NormDiverges("norm diverges at zero by the hinted exponent")
     gp = lambda x: max(f.evaluator(x), 0.0) ** p

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadExponent, DegenerateInput
+from .errors import DegenerateInput
 from .funcmodel import PiecewiseFn, _certify_nonneg
-from .norms import DEFAULT_TOL, QuadResult, check_lp_defined, lp_norms, unwrap
+from .norms import DEFAULT_TOL, QuadResult, check_exponent, check_lp_defined, lp_norms, unwrap
 from .operators import dual_hardy, hardy, hardy_minus_identity
 
 #: Threshold under which a norm is treated as an a.e.-zero input.
@@ -83,8 +83,7 @@ def conjugate(p: float) -> float:
 
 def sharp_constants(p: float) -> Constants:
     """The best possible (lower, upper) pair for ||H*f||_p / ||Hf||_p."""
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     root = (p - 1.0) ** (1.0 / p)
     if p <= 2.0:
         lower, upper = p - 1.0, root
@@ -95,8 +94,7 @@ def sharp_constants(p: float) -> Constants:
 
 def crude_constants(p: float) -> Constants:
     """The classical non-sharp pair (1/p', p)."""
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1, got {p}")
+    check_exponent(p)
     return Constants(p, 1.0 / conjugate(p), p)
 
 

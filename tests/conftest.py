@@ -34,6 +34,25 @@ def gk15_calls(monkeypatch):
 
 
 @pytest.fixture
+def gamma_tail_calls(monkeypatch):
+    """Counts the incomplete-gamma remainder bounds (norms._log_gamma_tail)
+    that norms evaluates for the log-coordinate ends during the test.
+
+    Returns a function giving the count so far.
+    """
+    count = 0
+    real = norms._log_gamma_tail
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(norms, "_log_gamma_tail", counted)
+    return lambda: count
+
+
+@pytest.fixture
 def piece_samples_calls(monkeypatch):
     """Counts the calls of funcmodel.piece_samples during the test.
 

@@ -205,6 +205,21 @@ class TestRun:
         code, _, _ = capture(["verify", "thm1", "-f", "chi(0,1)", "-p", "0.5"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["norm", "-f", "chi(0,1)"],
+        ["verify", "thm1", "-f", "chi(0,1)"],
+        ["verify", "thm2", "-f", "chi(0,1)"],
+        ["duality", "-f", "chi(0,1)"],
+        ["sweep", "--family", "step"],
+        ["fuzz", "--seed", "1", "--count", "1"],
+    ], ids=["norm", "thm1", "thm2", "duality", "sweep", "fuzz"])
+    def test_infinite_exponent_exit_three(self, argv):
+        # p * 0 = NaN made every envelope NaN: the cutoff search ran out
+        # (exit 2) and sweep printed NaN rows
+        code, out, err = capture(argv + ["-p", "inf"])
+        assert code == 3 and out == ""
+        assert "p must be finite" in err
+
     def test_parse_error_exit_three(self):
         code, _, err = capture(["verify", "thm1", "-f", "wat(", "-p", "2"])
         assert code == 3

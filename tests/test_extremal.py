@@ -185,6 +185,24 @@ class TestSweep:
         assert together[0] == alone[0]
         assert together[1] < alone[1]
 
+    def test_one_tail_bound_per_cutoff(self, gamma_tail_calls, monkeypatch):
+        from hardylab import norms
+
+        cutoffs = 0
+        real = norms._choose_cutoff
+
+        def counted(*args):
+            nonlocal cutoffs
+            cutoffs += 1
+            return real(*args)
+
+        monkeypatch.setattr(norms, "_choose_cutoff", counted)
+        # log-free: every end's envelope has q = 0, so the steps short of the
+        # target are skipped and only the step that meets it is evaluated
+        sweep(FamilyKind.INFINITY_SINGULAR, 3.0)
+        assert cutoffs > 0
+        assert gamma_tail_calls() == cutoffs
+
     def test_unconverged_records_excluded(self):
         good = sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])
         bad = SweepRecord(1e-4, QuadResult(math.nan, math.inf),

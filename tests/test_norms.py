@@ -95,6 +95,55 @@ class TestLpNorms:
         assert lp_norms([], 2.0) == []
 
 
+def _stepped_cutoff(log_m, s, q, t0, target):
+    """The plain cutoff search: one incomplete-gamma bound at every step."""
+    from hardylab import norms
+
+    log_target = math.log(target) if target > 0.0 else -745.0
+    t = max(t0, 1.0)
+    for _ in range(240):
+        log_rem = norms._log_gamma_tail(log_m, s, q, t)
+        if log_rem <= log_target:
+            return t, log_rem
+        t = t * 1.6 + 1.0
+    raise NotConverged("remainder bound does not reach the error budget")
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NotConverged as exc:
+        return str(exc)
+
+
+class TestCutoff:
+    """_choose_cutoff returns the stepped search's t and log remainder."""
+
+    @pytest.mark.parametrize("q", [0.0, 2.0])
+    @pytest.mark.parametrize("log_m", [-50.0, 0.0, 30.0, 700.0, 740.0])
+    def test_matches_stepped_search(self, log_m, q):
+        from hardylab import norms
+
+        # s * t spans the range where gammaincc(q + 1, s * t) underflows to 0
+        for s in (1e-4, 0.01, 0.3, 2.0, 50.0):
+            for t0 in (0.5, 1.0, 37.0):
+                for target in (1e-320, 1e-13, 2.5e-10, 0.3):
+                    args = (log_m, s, q, t0, target)
+                    assert (_outcome(norms._choose_cutoff, *args)
+                            == _outcome(_stepped_cutoff, *args)), args
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, math.nan, 0.0, 1.0, 1e-13),  # a NaN envelope: p * 0 at p = inf
+        (0.0, 1e-300, 0.0, 1.0, 1e-13),  # 1.6**240 * s stays far below 1
+    ], ids=["nan-envelope", "unreachable"])
+    def test_same_failure(self, args):
+        from hardylab import norms
+
+        with pytest.raises(NotConverged) as exc:
+            norms._choose_cutoff(*args)
+        assert str(exc.value) == _outcome(_stepped_cutoff, *args)
+
+
 #: 1 - x on (0, 2]: |g|**1.5 has a kink at x = 1, and its integral is 0.8.
 KINKED = make_piecewise([0, 2, INF], [[(1, 0, 0), (-1, 1, 0)], []])
 
@@ -159,8 +208,16 @@ class TestLpNorm:
             lp_norm(g, 2.0)
 
     def test_bad_exponent(self):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadExponent, match="exceed 1"):
             lp_norm(chi01(), 1.0)
+        with pytest.raises(BadExponent, match="finite"):
+            lp_norm(chi01(), math.inf)
+
+    def test_unbounded_tol_keeps_first_cutoffs(self):
+        # each end keeps its first cutoff and still counts its remainder
+        g = make_piecewise([0, 1, INF], [[(1, -0.3, 0)], [(2, -1.5, 0)]])
+        res = lp_norm(g, 2.0, INF)
+        assert abs(res.value - 4.5 ** 0.5) <= res.err < 1e-6
 
     def test_zero_function(self):
         z = make_piecewise([0, INF], [[]])

@@ -49,9 +49,10 @@ class TestConstants:
         assert c.upper == pytest.approx(0.5 ** (2 / 3))
 
     def test_bad_exponent(self):
-        for p in (1.0, 0.5, -2.0):
-            with pytest.raises(BadExponent):
-                sharp_constants(p)
+        for p in (1.0, 0.5, -2.0, math.nan, math.inf):
+            for constants in (sharp_constants, crude_constants):
+                with pytest.raises(BadExponent):
+                    constants(p)
 
     @pytest.mark.parametrize("p", [q for q in P_GRID if q != 2.0])
     def test_crude_strictly_wider(self, p):
