@@ -59,6 +59,10 @@ class BadExponent(HardyLabError):
     """An Lebesgue exponent outside (1, infinity) was supplied."""
 
 
+class BadTolerance(HardyLabError):
+    """A quadrature tolerance that is NaN or not positive was supplied."""
+
+
 class DegenerateInput(HardyLabError):
     """The input function is a.e. zero, so a norm ratio is undefined."""
 

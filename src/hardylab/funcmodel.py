@@ -50,18 +50,19 @@ class PowerLogAtom:
     log_power: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.coef) and math.isfinite(self.exponent)):
+        c, a, k = self.coef, self.exponent, self.log_power
+        if not (math.isfinite(c) and math.isfinite(a)):
             raise NotRepresentable("atom coefficient and exponent must be finite")
-        k = self.log_power
         if k != int(k) or k < 0:
             raise ValueError("log_power must be a nonnegative integer")
         if k > LOG_POWER_CAP:
             raise LogPowerCapExceeded(
                 f"log power {k} exceeds the supported cap {LOG_POWER_CAP}"
             )
-        object.__setattr__(self, "coef", float(self.coef))
-        object.__setattr__(self, "exponent", float(self.exponent))
-        object.__setattr__(self, "log_power", int(k))
+        if type(c) is not float or type(a) is not float or type(k) is not int:
+            object.__setattr__(self, "coef", float(c))
+            object.__setattr__(self, "exponent", float(a))
+            object.__setattr__(self, "log_power", int(k))
 
     def value_at(self, x: float) -> float:
         try:
@@ -96,21 +97,22 @@ def as_atom(obj) -> PowerLogAtom:
 def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:
     """Merge atoms sharing (exponent, log_power); drop negligible coefficients.
 
-    A merged coefficient within n * eps of the sum of the n magnitudes it
-    was summed from is the rounding residue of terms that cancel, and is
-    dropped like one below COEF_FLOOR.  Past an overflowed magnitude that
-    test cannot tell, so the coefficient is kept, and one that overflowed
-    itself raises NotRepresentable.
+    An atom alone in its group is kept as it is.  A merged coefficient
+    within n * eps of the sum of the n magnitudes it was summed from is the
+    rounding residue of terms that cancel, and is dropped like one below
+    COEF_FLOOR.  Past an overflowed magnitude that test cannot tell, so the
+    coefficient is kept, and one that overflowed itself raises
+    NotRepresentable.
     """
     acc: dict[tuple[float, int], list] = {}
     for at in atoms:
-        entry = acc.setdefault((at.exponent, at.log_power), [0.0, 0.0, 0])
+        entry = acc.setdefault((at.exponent, at.log_power), [0.0, 0.0, 0, at])
         entry[0] += at.coef
         entry[1] += abs(at.coef)
         entry[2] += 1
     return tuple(
-        PowerLogAtom(c, a, k)
-        for (a, k), (c, mag, n) in sorted(acc.items())
+        at if n == 1 else PowerLogAtom(c, a, k)
+        for (a, k), (c, mag, n, at) in sorted(acc.items())
         if abs(c) >= COEF_FLOOR
         and (abs(c) > n * sys.float_info.epsilon * mag or mag == math.inf)
     )
@@ -367,6 +369,13 @@ def _covering_piece(f: PiecewiseFn, lo: float) -> int:
     return min(max(i, 0), f.n_pieces - 1)
 
 
+def _scaled(atoms, c: float):
+    """The atoms times c; at c = 1.0 the atoms themselves."""
+    if c == 1.0:
+        return atoms
+    return [PowerLogAtom(c * a.coef, a.exponent, a.log_power) for a in atoms]
+
+
 def linear_combination(f: PiecewiseFn, g: PiecewiseFn,
                        cf: float = 1.0, cg: float = 1.0) -> PiecewiseFn:
     """cf*f + cg*g on the merged partition."""
@@ -375,10 +384,7 @@ def linear_combination(f: PiecewiseFn, g: PiecewiseFn,
     for lo in bps[:-1]:
         fi = _covering_piece(f, lo)
         gi = _covering_piece(g, lo)
-        atoms = [PowerLogAtom(cf * a.coef, a.exponent, a.log_power)
-                 for a in f.pieces[fi]]
-        atoms += [PowerLogAtom(cg * a.coef, a.exponent, a.log_power)
-                  for a in g.pieces[gi]]
+        atoms = [*_scaled(f.pieces[fi], cf), *_scaled(g.pieces[gi], cg)]
         pieces.append(collect_atoms(atoms))
     return PiecewiseFn(bps, tuple(pieces))
 
@@ -392,10 +398,7 @@ def subtract(f: PiecewiseFn, g: PiecewiseFn) -> PiecewiseFn:
 
 
 def scale(f: PiecewiseFn, c: float) -> PiecewiseFn:
-    pieces = tuple(
-        collect_atoms(PowerLogAtom(c * a.coef, a.exponent, a.log_power) for a in piece)
-        for piece in f.pieces
-    )
+    pieces = tuple(collect_atoms(_scaled(piece, c)) for piece in f.pieces)
     return PiecewiseFn(f.breakpoints, pieces)
 
 

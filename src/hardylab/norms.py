@@ -53,6 +53,7 @@ from scipy.special import exprel, gammaincc
 
 from .errors import (
     BadExponent,
+    BadTolerance,
     DivergentAtInfinity,
     DivergentAtZero,
     NormDiverges,
@@ -362,7 +363,7 @@ def _integrate(jobs, tol: float) -> list:
                         break
                 elif push:
                     continue
-                else:  # an infinite or NaN tol keeps the first cutoff
+                else:  # an infinite tol keeps the first cutoff
                     t_new, log_rem = t_cut, _log_gamma_tail(*env, t_cut)
                 if t_new > t_cut or not push:
                     seeds[j] += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
@@ -421,6 +422,12 @@ def check_exponent(p: float) -> None:
         raise BadExponent(f"p must {'be finite' if p > 1.0 else 'exceed 1'}, got {p}")
 
 
+def check_tol(tol: float) -> None:
+    """BadTolerance unless tol > 0; an infinite tol is allowed."""
+    if not tol > 0.0:
+        raise BadTolerance(f"tol must be positive, got {tol}")
+
+
 def check_lp_defined(g: PiecewiseFn, p: float) -> None:
     """Leading-exponent integrability tests; raises NormDiverges on failure."""
     if g.pieces[0]:
@@ -467,6 +474,7 @@ def lp_norms(gs, p: float, tol: float = DEFAULT_TOL) -> list:
     The divergence tests of all the gs run, in order, before any quadrature.
     """
     check_exponent(p)
+    check_tol(tol)
     for g in gs:
         check_lp_defined(g, p)
     jobs = [[(_ProductIntegrand(1.0, ((atoms, p),)), lo, hi)
@@ -490,6 +498,7 @@ def lp_norm(g: PiecewiseFn, p: float, tol: float = DEFAULT_TOL) -> QuadResult:
 def _identity_integral(f: PiecewiseFn, g: PiecewiseFn, const: float, p: float,
                        tol: float) -> QuadResult:
     """const * integral of f * g**(p-1) over (0, inf), for g = Hf or H*f."""
+    check_tol(tol)
     check_lp_defined(g, p)
     tasks = [
         (_ProductIntegrand(const, ((atoms, 1.0), (g.pieces[i], p - 1.0))),

@@ -94,3 +94,22 @@ def evaluator_calls(monkeypatch):
     monkeypatch.setattr(norms, "_compile", compile_counted)
     return lambda: count
 
+
+
+@pytest.fixture
+def atoms_built(monkeypatch):
+    """Counts the PowerLogAtoms constructed during the test, each one
+    validated by __post_init__.
+
+    Returns a function giving the count so far.
+    """
+    count = 0
+    real = funcmodel.PowerLogAtom.__post_init__
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        real(self)
+
+    monkeypatch.setattr(funcmodel.PowerLogAtom, "__post_init__", counted)
+    return lambda: count

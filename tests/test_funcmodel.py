@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from hardylab.errors import (
     NotRepresentable,
 )
 from hardylab.funcmodel import (
+    LOG_POWER_CAP,
     PiecewiseFn,
     PowerLogAtom,
     antiderivative_atoms,
@@ -25,6 +27,7 @@ from hardylab.funcmodel import (
     make_piecewise,
     piece_samples,
     scale,
+    subtract,
 )
 
 INF = math.inf
@@ -71,16 +74,32 @@ def reflect_piece(phi):
 
 class TestAtoms:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerLogAtom(math.nan, 0.0, 0)
-        with pytest.raises(ValueError):
-            PowerLogAtom(1.0, math.inf, 0)
-        with pytest.raises(ValueError):
-            PowerLogAtom(1.0, 0.0, -1)
-        with pytest.raises(ValueError):
-            PowerLogAtom(1.0, 0.0, 0.5)
-        with pytest.raises(LogPowerCapExceeded):
-            PowerLogAtom(1.0, 0.0, 9)
+        # every check holds for exactly typed fields, which skip coercion
+        for fields, error in [
+            ((math.nan, 0.0, 0), NotRepresentable),
+            ((1.0, math.inf, 0), NotRepresentable),
+            ((-math.inf, 0.0, 0), NotRepresentable),
+            ((1.0, math.nan, 0), NotRepresentable),
+            ((1.0, 0.0, -1), ValueError),
+            ((1.0, 0.0, 0.5), ValueError),
+            ((1.0, 0.0, 1.5), ValueError),
+            ((1.0, 0.0, LOG_POWER_CAP + 1), LogPowerCapExceeded),
+        ]:
+            with pytest.raises(error) as exc:
+                PowerLogAtom(*fields)
+            assert exc.type is error
+
+    @pytest.mark.parametrize("fields, want", [
+        ((np.float64(2.5), 1, 0), (2.5, 1.0, 0)),
+        ((3, np.float64(-0.5), 2.0), (3.0, -0.5, 2)),
+        ((1.0, 0.0, True), (1.0, 0.0, 1)),
+        ((1.0, 0.0, np.int64(LOG_POWER_CAP)), (1.0, 0.0, LOG_POWER_CAP)),
+    ])
+    def test_fields_coerced(self, fields, want):
+        at = PowerLogAtom(*fields)
+        got = (at.coef, at.exponent, at.log_power)
+        assert got == want
+        assert tuple(map(type, got)) == (float, float, int)
 
     def test_value(self):
         # x^-1/2 * ln x at x = e^2 is 2/e
@@ -92,6 +111,23 @@ class TestAtoms:
                  PowerLogAtom(-3, 0.5, 1), PowerLogAtom(1, 1.0, 0)]
         out = collect_atoms(atoms)
         assert out == (PowerLogAtom(1, 1.0, 0),)
+
+    def test_collect_keeps_lone_atoms(self):
+        lone = PowerLogAtom(2.0, 1.0, 0)
+        out = collect_atoms([PowerLogAtom(1.0, 0.5, 1), lone, PowerLogAtom(3.0, 0.5, 1)])
+        assert out == (PowerLogAtom(4.0, 0.5, 1), lone)
+        assert out[1] is lone
+
+    def test_unit_factor_atoms_reused(self, atoms_built):
+        f = make_piecewise([0, 1, INF], [[(1, 0, 0)], [(2, -2, 0)]])
+        g = make_piecewise([0, 2, INF], [[(1, 1, 0)], []])
+        before = atoms_built()
+        h = subtract(f, g)
+        # only -g's atom is built, once on each of (0, 1] and (1, 2]
+        assert atoms_built() - before == 2
+        assert h.pieces[0][0] is f.pieces[0][0]
+        assert h.pieces[1][0] is f.pieces[1][0] and h.pieces[2] == f.pieces[1]
+        assert h.pieces[0][1] == PowerLogAtom(-1.0, 1.0, 0)
 
     @pytest.mark.parametrize("coefs, kept", [
         ((1e308, 1e308), None),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab.cli import FuzzConfig, fuzz_generate
-from hardylab.errors import BadExponent, DivergentAtZero, NormDiverges, NotConverged
+from hardylab.errors import (BadExponent, BadTolerance, DivergentAtZero, NormDiverges,
+                             NotConverged)
 from hardylab.funcmodel import evaluate, make_piecewise, scale
 from hardylab.norms import (
     CallableFn,
@@ -218,6 +219,17 @@ class TestLpNorm:
         g = make_piecewise([0, 1, INF], [[(1, -0.3, 0)], [(2, -1.5, 0)]])
         res = lp_norm(g, 2.0, INF)
         assert abs(res.value - 4.5 ** 0.5) <= res.err < 1e-6
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_bad_tol_refused(self, tol):
+        # a NaN tol passes no err > goal test, so it would read as converged
+        g = make_piecewise([0, 1, INF], [[(1, -0.3, 0)], [(2, -1.5, 0)]])
+        f = make_piecewise([0, 1, INF], [[(1, 0, 0)], []])
+        for call in (lambda: lp_norm(g, 2.0, tol), lambda: lp_norms([g, f], 2.0, tol),
+                     lambda: ip_via_parts(f, 2.0, tol),
+                     lambda: ipstar_via_fubini(f, 2.0, tol)):
+            with pytest.raises(BadTolerance, match="tol must be positive"):
+                call()
 
     def test_zero_function(self):
         z = make_piecewise([0, INF], [[]])
