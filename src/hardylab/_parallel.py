@@ -1,4 +1,4 @@
-"""Ordered mapping over the cases of a sweep or fuzz suite.
+"""Ordered mapping over the grid points of a sweep.
 
 The work is pure Python and holds the GIL, so it runs sequentially; results
 come back in input order.

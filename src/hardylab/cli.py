@@ -54,7 +54,6 @@ from .verify import (
     verify_theorem1,
     verify_theorem2,
 )
-from ._parallel import map_ordered
 
 _AUTO_MOLLIFY_N = 1024
 
@@ -275,32 +274,19 @@ def _cmd_duality(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    p_values = args.p or list(P_GRID)
-
-    def one_case(i: int):
-        seed = (args.seed * 1000003 + i) % (1 << 63)
-        cfg = FuzzConfig(seed=seed, monotone=args.monotone)
-        f = fuzz_generate(cfg)
-        case_verdicts = []
-        for p in p_values:
-            if args.monotone:
-                reports = [verify_theorem2(f, p, args.tol)]
-            else:
-                reports = [verify_theorem1(f, p, args.tol),
-                           verify_crude(f, p, args.tol)]
-            for rep in reports:
-                case_verdicts.append((seed, p, rep.verdict_lower))
-                case_verdicts.append((seed, p, rep.verdict_upper))
-        return case_verdicts
-
-    results = map_ordered(one_case, range(args.count))
+    verifiers = (verify_theorem2,) if args.monotone else (verify_theorem1, verify_crude)
     counts = {v: 0 for v in Verdict}
     first_failure = None
-    for case in results:
-        for seed, p, verdict in case:
-            counts[verdict] += 1
-            if verdict is not Verdict.HOLDS and first_failure is None:
-                first_failure = {"seed": seed, "p": p, "verdict": verdict.value}
+    for i in range(args.count):
+        seed = (args.seed * 1000003 + i) % (1 << 63)
+        f = fuzz_generate(FuzzConfig(seed=seed, monotone=args.monotone))
+        for p in args.p or P_GRID:
+            for verifier in verifiers:
+                rep = verifier(f, p, args.tol)
+                for verdict in (rep.verdict_lower, rep.verdict_upper):
+                    counts[verdict] += 1
+                    if verdict is not Verdict.HOLDS and first_failure is None:
+                        first_failure = {"seed": seed, "p": p, "verdict": verdict.value}
     _emit({
         "cases": args.count,
         "checks": sum(counts.values()),
@@ -342,10 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_function(sp):
+        sp.add_argument("-f", "--function", required=True,
+                        help="function DSL (JSON or chi/pow shorthand)")
+
     def add_common(sp, function=True):
         if function:
-            sp.add_argument("-f", "--function", required=True,
-                            help="function DSL (JSON or chi/pow shorthand)")
+            add_function(sp)
         sp.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="absolute tolerance on the p-th power of norms")
 
@@ -356,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("apply", help="apply an operator, print the result DSL")
     sp.add_argument("operator", choices=["hardy", "dual", "diff"])
-    add_common(sp)
+    add_function(sp)
     sp.set_defaults(fn=_cmd_apply)
 
     sp = sub.add_parser("verify", help="verdicts for the two-sided bounds")

@@ -157,11 +157,9 @@ def _one_record(kind: FamilyKind, p: float, eps: float, sands: tuple[Sandwich, .
     if kind is FamilyKind.INFINITY_SINGULAR:
         ratio = ns.value / nh.value
         num_sand = sand_s
-        num = ns
     else:
         ratio = nh.value / ns.value
         num_sand = sand_h
-        num = nh
     ok = None
     if converged:
         # slack: propagated error on norm**p plus a floating allowance
@@ -229,15 +227,9 @@ def sweep_to_csv(records: Sequence[SweepRecord]) -> str:
     """Render records in the fixed CSV schema (absent bounds are empty)."""
     lines = [CSV_HEADER]
     for r in records:
-        cells = [
-            repr(r.eps),
-            repr(r.norm_h.value), repr(r.norm_h.err),
-            repr(r.norm_hstar.value), repr(r.norm_hstar.err),
-            repr(r.ratio),
-            "" if r.sandwich_lo is None else repr(r.sandwich_lo),
-            "" if r.sandwich_hi is None else repr(r.sandwich_hi),
-        ]
-        lines.append(",".join(cells))
+        row = record_to_dict(r)
+        lines.append(",".join("" if row[key] is None else repr(row[key])
+                              for key in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 

@@ -138,7 +138,7 @@ _W = np.array([_WK, _WG])
 
 def _gk15(fn, reg, a, b):
     """Kronrod-15 values and |K15 - G7| errors of n segments (arrays of region
-    ids and ends), and (row, node, value) of each row's first non-finite
+    ids and ends), and (region, node, value) of each row's first non-finite
     integrand value, all from one fn call.  einsum sums a row in a fixed
     order, where a BLAS matmul rounds it by its place in the batch."""
     half = 0.5 * (b - a)
@@ -147,20 +147,8 @@ def _gk15(fn, reg, a, b):
     s_k, s_g = np.einsum("ij,kj->ki", fv, _W)
     bad = ~np.isfinite(fv)
     rows = np.flatnonzero(bad.any(1)) if bad.any() else ()
-    fails = [(r, nodes[r][bad[r]][0], fv[r][bad[r]][0]) for r in rows]
+    fails = [(int(reg[r]), nodes[r][bad[r]][0], fv[r][bad[r]][0]) for r in rows]
     return s_k * half, np.abs(s_k - s_g) * np.abs(half), fails
-
-
-def _gk15_seeds(fn, seeds) -> tuple[list, list]:
-    """(-err, region, a, b, value) of every non-empty (region, a, b) seed, and
-    (region, node, value) at each seed's first non-finite integrand value."""
-    seeds = [seed for seed in seeds if seed[2] > seed[1]]
-    if not seeds:
-        return [], []
-    reg, a, b = (np.array(col) for col in zip(*seeds))
-    v, e, fails = _gk15(fn, reg, a, b)
-    return (list(zip((-e).tolist(), reg.tolist(), a.tolist(), b.tolist(), v.tolist())),
-            [(seeds[r][0], x, v) for r, x, v in fails])
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
@@ -308,7 +296,7 @@ def _integrate(jobs, tol: float) -> list:
 
     Task i of all the jobs has regions 3i (zero end), 3i + 1 (interior) and
     3i + 2 (infinity end) of one table; each seed pass, cutoff push and
-    adaptive round is one _gk15_seeds call.  A job keeps its own ends, list of
+    adaptive round is one _gk15 call.  A job keeps its own ends, list of
     segments, segment cap and goal max(tol, _REL_FLOOR * |value|), so it
     returns the (value, err) it would alone, or the NotConverged it would raise.
     """
@@ -328,10 +316,15 @@ def _integrate(jobs, tol: float) -> list:
             ends[owner[i]].append([3 * i + 2, _envelope(pi, False), math.log(x1), math.inf])
 
     def run(live, batch):
-        """Evaluate the live jobs' seeds into their segments; a non-finite value
-        fails a job.  Returns the live jobs not failed."""
-        items, fails = _gk15_seeds(fn, [seed for j in live for seed in batch[j]])
-        for item in items:
+        """Evaluate the live jobs' non-empty (region, a, b) seeds into segments
+        (-err, region, a, b, value); a non-finite value fails a job.  Returns
+        the live jobs not failed."""
+        todo = [seed for j in live for seed in batch[j] if seed[2] > seed[1]]
+        if not todo:
+            return list(live)
+        regs, a, b = (np.array(col) for col in zip(*todo))
+        v, e, fails = _gk15(fn, regs, a, b)
+        for item in zip((-e).tolist(), regs.tolist(), a.tolist(), b.tolist(), v.tolist()):
             segs[owner[item[1] // 3]].append(item)
         for reg, t, v in fails:
             j = owner[reg // 3]
@@ -355,16 +348,13 @@ def _integrate(jobs, tol: float) -> list:
                 mass = sum(item[4] for item in segs[j] if item[1] == reg)
                 goal = max(0.1 * _REL_FLOOR * (abs(mass) + rem), 1e-320)
                 goal = goal if push else tol / (4.0 * len(ends[j]))
-                if rem > goal:
-                    try:
-                        t_new, log_rem = _choose_cutoff(*env, t_cut, goal)
-                    except NotConverged as exc:
-                        out[j] = exc
-                        break
-                elif push:
+                if push and rem <= goal:
                     continue
-                else:  # an infinite tol keeps the first cutoff
-                    t_new, log_rem = t_cut, _log_gamma_tail(*env, t_cut)
+                try:  # at an infinite tol: t_cut and its bound, as t_cut >= 1
+                    t_new, log_rem = _choose_cutoff(*env, t_cut, goal)
+                except NotConverged as exc:
+                    out[j] = exc
+                    break
                 if t_new > t_cut or not push:
                     seeds[j] += [(reg, a, b) for a, b in _doubling_seeds(t_cut, t_new)]
                     end[2:] = t_new, math.exp(min(log_rem, _LN_HUGE))

@@ -28,10 +28,6 @@ from .funcmodel import (
 )
 
 
-def _shift_exponent(atoms, delta: float):
-    return tuple(PowerLogAtom(a.coef, a.exponent + delta, a.log_power) for a in atoms)
-
-
 def cumulative_integral(f: PiecewiseFn) -> PiecewiseFn:
     """G(x) = integral of f over (0, x], exactly, on the same partition.
 
@@ -59,7 +55,10 @@ def cumulative_integral(f: PiecewiseFn) -> PiecewiseFn:
 def hardy(f: PiecewiseFn) -> PiecewiseFn:
     """The average (Hf)(x) = (1/x) * integral of f over (0, x], exactly."""
     g = cumulative_integral(f)
-    pieces = tuple(_shift_exponent(piece, -1.0) for piece in g.pieces)
+    pieces = tuple(
+        tuple(PowerLogAtom(a.coef, a.exponent - 1.0, a.log_power) for a in piece)
+        for piece in g.pieces
+    )
     return PiecewiseFn(f.breakpoints, pieces)
 
 
@@ -81,16 +80,13 @@ def dual_hardy(f: PiecewiseFn) -> PiecewiseFn:
     tail = 0.0  # integral of f(t)/t over (b_{i+1}, inf)
     for i in range(n - 1, -1, -1):
         lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
-        g = collect_atoms(
-            a for at in _shift_exponent(f.pieces[i], -1.0)
-            for a in antiderivative_atoms(at)
-        )
+        # an antiderivative of -f(t)/t, so the piece is tail - g(hi) + g(x)
+        g = collect_atoms(b for a in f.pieces[i] for b in antiderivative_atoms(
+            PowerLogAtom(-a.coef, a.exponent - 1.0, a.log_power)))
         g_hi = 0.0 if math.isinf(hi) else atoms_value(g, hi)
-        const = tail + g_hi
-        negated = (PowerLogAtom(-a.coef, a.exponent, a.log_power) for a in g)
-        pieces[i] = collect_atoms((PowerLogAtom(const, 0.0, 0), *negated))
+        pieces[i] = collect_atoms((PowerLogAtom(tail - g_hi, 0.0, 0), *g))
         if i > 0:
-            tail += g_hi - atoms_value(g, lo)
+            tail += atoms_value(g, lo) - g_hi
     return PiecewiseFn(f.breakpoints, tuple(pieces))
 
 

@@ -140,8 +140,7 @@ def _report(num: QuadResult, den: QuadResult, bounds: Constants) -> Verification
 
 #: The last f verified, compared by value, and what was built from it: Hf,
 #: H*f once some p has passed Hf's divergence test, and the last norm pair
-#: under its (p, tol).  Holding f means f was certified nonnegative.  Each
-#: entry is read once, so calls racing on the memo only repeat work.
+#: under its (p, tol).  Holding f means f was certified nonnegative.
 _memo: dict = {}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab import cli
 from hardylab.cli import (
     FuzzConfig,
     function_to_dsl,
@@ -19,7 +21,8 @@ from hardylab.cli import (
 from hardylab.errors import ParseError
 from hardylab.funcmodel import (_certify_nonneg, add, evaluate, is_nonincreasing,
                                 make_piecewise)
-from hardylab.verify import verify_crude
+from hardylab.extremal import sweep
+from hardylab.verify import Verdict, verify_crude, verify_theorem1
 
 INF = math.inf
 
@@ -99,11 +102,16 @@ class TestMalformedInput:
         ["apply", "hardy", "-f", _spec([[{"c": 1, "coef": 4}], []])],
         # json.loads would keep the last of the two values
         ["apply", "hardy", "-f", '{"breakpoints":[0,1,"inf"],"pieces":[[{"c":1,"c":4}],[]]}'],
+        # apply is exact: it takes no tolerance
+        ["apply", "hardy", "-f", "chi(0,1)", "--tol", "1e-3"],
+        # the identity check samples up to 10 * the largest breakpoint
+        ["duality", "-f", _spec([[{"c": 1}], [{"c": 1, "a": -1}], [{"c": 1, "a": -1}]],
+                                [0, 1, 2e307, "inf"]), "-p", "2"],
     ], ids=["list-breakpoint", "pieces-number", "atom-number", "string-coef",
             "fractional-k", "nan-exponent", "string-breakpoint", "unknown-key",
             "negative-count", "overflowing-average", "overflowing-sum",
             "boolean-breakpoint", "boolean-field", "boolean-list-atom",
-            "coef-twice", "repeated-key"])
+            "coef-twice", "repeated-key", "apply-tol", "duality-huge-breakpoint"])
     def test_exit_3(self, argv):
         code, out, err = capture(argv)
         assert code == 3
@@ -286,6 +294,47 @@ class TestRun:
         assert payload["first_failure"] is None
         # 3 cases x 2 p x 2 theorems x 2 sides
         assert payload["checks"] == 24
+
+    def test_fuzz_monotone_holds(self):
+        code, out, _ = capture(["fuzz", "--seed", "7", "--count", "3", "--monotone"])
+        payload = json.loads(out)
+        assert code == 0
+        # 3 cases x 9 grid exponents x 1 theorem x 2 sides
+        assert payload["checks"] == payload["holds"] == 54
+
+    @pytest.mark.parametrize("lower, upper, want", [
+        (Verdict.HOLDS, Verdict.HOLDS, 0),
+        (Verdict.HOLDS, Verdict.INCONCLUSIVE, 2),
+        (Verdict.VIOLATED, Verdict.HOLDS, 1),
+        (Verdict.INCONCLUSIVE, Verdict.VIOLATED, 1),
+    ])
+    def test_verify_exit_code_follows_verdicts(self, monkeypatch, lower, upper, want):
+        real = verify_theorem1(make_piecewise([0, 1, INF], [[(1, 0, 0)], []]), 3.0)
+        monkeypatch.setattr(cli, "verify_theorem1", lambda f, p, tol: dataclasses.replace(
+            real, verdict_lower=lower, verdict_upper=upper))
+        code, out, _ = capture(["verify", "thm1", "-f", "chi(0,1)", "-p", "3"])
+        assert code == want
+        assert (json.loads(out)["verdict_lower"], json.loads(out)["verdict_upper"]) == (
+            lower.value, upper.value)
+
+    @pytest.mark.parametrize("converged, sandwich_ok, want", [
+        (True, True, 0), (True, False, 1), (False, None, 2),
+    ])
+    def test_sweep_exit_code_follows_records(self, monkeypatch, converged,
+                                             sandwich_ok, want):
+        records = sweep("step", 2.0, [0.1, 0.01, 0.001])
+        bad = dataclasses.replace(records[1], converged=converged, sandwich_ok=sandwich_ok)
+        monkeypatch.setattr(cli, "sweep", lambda *args: [records[0], bad, records[2]])
+        for fmt in ("csv", "json"):
+            code, _, _ = capture(["sweep", "--family", "step", "-p", "2",
+                                  "--format", fmt])
+            assert code == want
+
+    def test_thm2_zero_phi_degenerate(self):
+        code, out, err = capture(["verify", "thm2", "-f", _spec([[]], [0, "inf"]),
+                                  "-p", "2"])
+        assert code == 3 and out == ""
+        assert "degenerate input:" in err
 
     def test_fuzz_default_grid(self):
         # no -p given: the full verification grid is used

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -234,9 +236,9 @@ def point_gap(g, h, x, tol):
     if scale_ < 1e-290:
         return 0.0
     gap = abs(a - b) / scale_
-    if gap > tol:
-        gap = abs(a - b) / sum(abs(at.value_at(x)) for k in (g, h)
-                               for at in k.pieces[piece_index(k, x)])
+    if gap > tol:  # magnitudes added left to right, as _column_sum adds them
+        gap = abs(a - b) / functools.reduce(operator.add, (
+            abs(at.value_at(x)) for k in (g, h) for at in k.pieces[piece_index(k, x)]), 0.0)
     return gap
 
 
@@ -371,7 +373,7 @@ class TestIdentityGap:
 #: PowerLogAtoms that check_equivalence builds for double_root_phi(), in
 #: phi_to_f, hardy(phi) - phi, hardy(f) and f_to_phi(f); an atom that one of
 #: them passes on unchanged is not built again.
-ATOMS_BUILT_DOUBLE_ROOT = 93
+ATOMS_BUILT_DOUBLE_ROOT = 87
 
 
 class TestCheckEquivalenceWork:

@@ -5,6 +5,7 @@ import pytest
 from hardylab.errors import EpsOutOfRange, InsufficientData
 from hardylab.extremal import (
     FamilyKind,
+    Sandwich,
     SweepRecord,
     default_eps_grid,
     eps_range,
@@ -18,6 +19,18 @@ from hardylab.extremal import (
 from hardylab.funcmodel import PowerLogAtom, evaluate
 from hardylab.norms import QuadResult
 from hardylab.verify import sharp_constants
+
+
+class TestSandwich:
+    def test_contains(self):
+        s = Sandwich(1.0, 2.0)
+        assert s.contains(1.0) and s.contains(2.0)
+        assert not s.contains(0.5)
+        assert not s.contains(2.5)
+        assert s.contains(0.5, slack=0.5) and s.contains(2.5, slack=0.5)
+        assert not Sandwich(1.0, None).contains(0.99)
+        assert not Sandwich(None, 2.0).contains(2.01)
+        assert Sandwich(None, None).contains(-1e300)
 
 
 class TestFamily:

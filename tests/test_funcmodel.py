@@ -73,6 +73,14 @@ def reflect_piece(phi):
 
 
 class TestAtoms:
+    def test_atoms_value_adds_left_to_right(self):
+        # builtin sum compensates from Python 3.12 on and would give 1.0
+        atoms = [PowerLogAtom(1e16, 0.0), PowerLogAtom(1.0, 1.0), PowerLogAtom(-1e16, 2.0)]
+        assert repr(atoms_value(atoms, 1.0)) == "0.0"
+        f = make_piecewise([0, INF], [atoms])
+        assert f.pieces == (tuple(atoms),)
+        assert repr(evaluate(f, 1.0)) == "0.0"
+
     def test_validation(self):
         # every check holds for exactly typed fields, which skip coercion
         for fields, error in [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hardylab.cli import FuzzConfig, fuzz_generate
 from hardylab.errors import (
@@ -11,8 +12,12 @@ from hardylab.errors import (
     NotMonotone,
 )
 from hardylab.funcmodel import (
+    PiecewiseFn,
     PowerLogAtom,
     _certify_nonneg,
+    antiderivative_atoms,
+    atoms_value,
+    collect_atoms,
     dilate,
     evaluate,
     linear_combination,
@@ -191,3 +196,77 @@ class TestComposition:
                     f.breakpoints,
                     [[(abs(a.coef), a.exponent, a.log_power) for a in piece]
                      for piece in f.pieces])
+
+
+def _shift_exponent(atoms, delta):
+    return tuple(PowerLogAtom(a.coef, a.exponent + delta, a.log_power) for a in atoms)
+
+
+def shifted_hardy(f):
+    """Hf as the cumulative integral with every exponent shifted by -1."""
+    g = cumulative_integral(f)
+    return PiecewiseFn(f.breakpoints,
+                       tuple(_shift_exponent(piece, -1.0) for piece in g.pieces))
+
+
+def negated_dual_hardy(f):
+    """H*f built as shift, then antiderivative of f(t)/t, then negate: the
+    piece is tail + g(hi) - g(x), which dual_hardy's antiderivative of
+    -f(t)/t must reproduce bit for bit."""
+    n = f.n_pieces
+    pieces = [None] * n
+    tail = 0.0
+    for i in range(n - 1, -1, -1):
+        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
+        g = collect_atoms(a for at in _shift_exponent(f.pieces[i], -1.0)
+                          for a in antiderivative_atoms(at))
+        g_hi = 0.0 if math.isinf(hi) else atoms_value(g, hi)
+        negated = (PowerLogAtom(-a.coef, a.exponent, a.log_power) for a in g)
+        pieces[i] = collect_atoms((PowerLogAtom(tail + g_hi, 0.0, 0), *negated))
+        if i > 0:
+            tail += g_hi - atoms_value(g, lo)
+    return PiecewiseFn(f.breakpoints, tuple(pieces))
+
+
+#: Exponents that hit the special cases: 0 (H*f gains a log), -1 (Hf gains
+#: a log) and neighbours of both, where 1/a or 1/(a + 1) is huge.
+_SPECIAL_EXPONENTS = [0.0, 1e-9, -1e-9, -1.0, -1.0 + 1e-9, -1.0 - 1e-9, 2.0, -0.5]
+_COEFS = st.floats(0.05, 20.0) | st.floats(-20.0, -0.05)
+_LOG_POWERS = st.integers(0, 3)
+
+
+def _atoms(exponents, min_size=0):
+    return st.lists(st.tuples(_COEFS, exponents, _LOG_POWERS),
+                    min_size=min_size, max_size=3)
+
+
+@st.composite
+def operator_inputs(draw):
+    """f whose first piece is integrable at 0 and whose unbounded piece holds
+    at least one atom, each decaying faster than 1/t; any signs and logs."""
+    cuts = sorted(draw(st.lists(st.floats(0.05, 20.0), max_size=3, unique=True)))
+    anywhere = st.sampled_from(_SPECIAL_EXPONENTS) | st.floats(-3.0, 3.0)
+    first = _atoms(st.sampled_from([0.0, 1e-9, -1e-9, -0.5, 2.0])
+                   | st.floats(-0.9, 3.0))
+    last = _atoms(st.sampled_from([-1.0, -1.0 + 1e-9, -1.0 - 1e-9, -0.5, -1e-9])
+                  | st.floats(-3.0, -0.01), min_size=1)
+    pieces = [draw(first), *(draw(_atoms(anywhere)) for _ in cuts[1:]), draw(last)]
+    if not cuts:
+        pieces = [draw(_atoms(st.floats(-0.9, -0.01), min_size=1))]
+    return make_piecewise([0.0, *cuts, INF], pieces)
+
+
+class TestAgainstShiftThenNegate:
+    """hardy and dual_hardy against the constructions they replaced, atom for
+    atom: IEEE negation commutes with every step, so no bit may move."""
+
+    @given(operator_inputs())
+    @example(make_piecewise([0.0, 1.0, 2.0, INF], [
+        [(2.0, 0.5, 1), (-1.5, 0.0, 0)],
+        [(3.0, 0.0, 2), (-0.5, -1.0 + 1e-9, 0), (1.0, -1.0, 1)],
+        [(1.5, -2.0, 1), (-0.25, -1.0 - 1e-9, 0)],
+    ]))
+    @settings(max_examples=300, deadline=None)
+    def test_atom_for_atom(self, f):
+        assert repr(dual_hardy(f)) == repr(negated_dual_hardy(f))
+        assert repr(hardy(f)) == repr(shifted_hardy(f))
