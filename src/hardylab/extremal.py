@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EpsOutOfRange, InsufficientData, NotConverged
+from .errors import EpsOutOfRange, InsufficientData, NotConverged, NotRepresentable
 from .funcmodel import PiecewiseFn, make_piecewise
 from .norms import DEFAULT_TOL, QuadResult, lp_norms
 from .operators import dual_hardy, hardy
@@ -105,21 +105,32 @@ def family(kind: FamilyKind | str, eps: float, p: float) -> PiecewiseFn:
 
 def paper_bounds(kind: FamilyKind | str, eps: float,
                  p: float) -> tuple[Sandwich, Sandwich]:
-    """Closed-form sandwiches for (||Hf_eps||_p**p, ||H*f_eps||_p**p)."""
+    """Closed-form sandwiches for (||Hf_eps||_p**p, ||H*f_eps||_p**p).
+
+    NotRepresentable if a bound leaves the double range.
+    """
     kind = FamilyKind(kind)
     _check_eps(kind, eps, p)
-    if kind is FamilyKind.STEP:
-        h_lo = eps ** p * (1.0 + eps) ** (1.0 - p) / (p - 1.0)
-        s_lo = math.log1p(eps) ** p
-        return (Sandwich(h_lo, h_lo + eps ** (p + 1.0)),
-                Sandwich(s_lo, s_lo * (1.0 + eps)))
-    if kind is FamilyKind.ZERO_SINGULAR:
-        h_lo = p ** p / (eps * p * (p - 1.0 + eps * p) ** p)
-        s_hi = p ** p / (eps * p * (1.0 - eps * p) ** p)
-        return Sandwich(h_lo, None), Sandwich(None, s_hi)
-    h_hi = p ** p / (eps * p * (p - 1.0 - eps * p) ** p)
-    s_lo = p ** p / (eps * p * (1.0 + eps * p) ** p)
-    return Sandwich(None, h_hi), Sandwich(s_lo, None)
+    try:
+        if kind is FamilyKind.STEP:
+            h_lo = eps ** p * (1.0 + eps) ** (1.0 - p) / (p - 1.0)
+            s_lo = math.log1p(eps) ** p
+            sands = (Sandwich(h_lo, h_lo + eps ** (p + 1.0)),
+                     Sandwich(s_lo, s_lo * (1.0 + eps)))
+        elif kind is FamilyKind.ZERO_SINGULAR:
+            h_lo = p ** p / (eps * p * (p - 1.0 + eps * p) ** p)
+            s_hi = p ** p / (eps * p * (1.0 - eps * p) ** p)
+            sands = Sandwich(h_lo, None), Sandwich(None, s_hi)
+        else:
+            h_hi = p ** p / (eps * p * (p - 1.0 - eps * p) ** p)
+            s_lo = p ** p / (eps * p * (1.0 + eps * p) ** p)
+            sands = Sandwich(None, h_hi), Sandwich(s_lo, None)
+    except OverflowError:  # a power past the double range: no bound at all
+        sands = (Sandwich(math.inf, None),)
+    if not all(math.isfinite(b) for sand in sands for b in sand if b is not None):
+        raise NotRepresentable(f"the {kind.value} family's bounds at eps={eps}, "
+                               f"p={p} leave the double range")
+    return sands
 
 
 def limit_ratio(kind: FamilyKind | str, p: float) -> float:

@@ -67,8 +67,8 @@ class PowerLogAtom:
     def value_at(self, x: float) -> float:
         try:
             v = self.coef * x ** self.exponent
-        except OverflowError:
-            return math.copysign(math.inf, self.coef)
+        except OverflowError:  # as a numpy scalar x gives it, ln(x)**k applied
+            v = math.copysign(math.inf, self.coef)
         if self.log_power:
             v *= math.log(x) ** self.log_power
         return v

@@ -45,7 +45,10 @@ All results are estimates validated by refinement, not certified enclosures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable
 
 import numpy as np
@@ -256,7 +259,7 @@ def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float
         a_ext = min(exts) if at_zero else max(exts)
         expo += power * a_ext
         q += power * max(a.log_power for a in atoms)
-        log_m += power * math.log(sum(abs(a.coef) for a in atoms))
+        log_m += power * math.log(reduce(add, (abs(a.coef) for a in atoms), 0.0))
     s = (expo + 1.0) if at_zero else -(expo + 1.0)
     if s <= 0.0:
         raise NormDiverges(f"integral diverges at {'zero' if at_zero else 'infinity'}")
@@ -268,7 +271,11 @@ def _log_gamma_tail(log_m: float, s: float, q: float, t: float) -> float:
     quot = gammaincc(q + 1.0, s * t)
     if quot <= 0.0:
         return -math.inf
-    return log_m - (q + 1.0) * math.log(s) + math.lgamma(q + 1.0) + math.log(quot)
+    try:
+        log_gamma = math.lgamma(q + 1.0)
+    except OverflowError:  # past q ~ 2.5e305 there is no bound in doubles
+        return math.inf
+    return log_m - (q + 1.0) * math.log(s) + log_gamma + math.log(quot)
 
 
 def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
@@ -299,6 +306,8 @@ def _integrate(jobs, tol: float) -> list:
     adaptive round is one _gk15 call.  A job keeps its own ends, list of
     segments, segment cap and goal max(tol, _REL_FLOOR * |value|), so it
     returns the (value, err) it would alone, or the NotConverged it would raise.
+    A job with tasks whose value ends below the normal doubles underflowed, and
+    is NotConverged too.
     """
     tasks = [task for job in jobs for task in job]
     owner = [j for j, job in enumerate(jobs) for _ in job]
@@ -345,7 +354,7 @@ def _integrate(jobs, tol: float) -> list:
         for j in live:
             for end in ends[j]:
                 reg, env, t_cut, rem = end
-                mass = sum(item[4] for item in segs[j] if item[1] == reg)
+                mass = reduce(add, (item[4] for item in segs[j] if item[1] == reg), 0.0)
                 goal = max(0.1 * _REL_FLOOR * (abs(mass) + rem), 1e-320)
                 goal = goal if push else tol / (4.0 * len(ends[j]))
                 if push and rem <= goal:
@@ -365,11 +374,12 @@ def _integrate(jobs, tol: float) -> list:
         seeds = [[] for _ in jobs]
     # global adaptive bisection: each round a job bisects its worst segments, as
     # many as its goal needs, until its interval cap or the floating floor
-    rems = [0.5 * sum(end[3] for end in job_ends) for job_ends in ends]
+    # sums run left to right, never by builtin sum, which compensates from 3.12 on
+    rems = [0.5 * reduce(add, map(itemgetter(3), job_ends), 0.0) for job_ends in ends]
 
     def totals(j):  # (value, err) of job j, half the remainder bound in each
-        return (sum(item[4] for item in segs[j]) + rems[j],
-                rems[j] - sum(item[0] for item in segs[j]))
+        return (reduce(add, map(itemgetter(4), segs[j]), 0.0) + rems[j],
+                rems[j] - reduce(add, map(itemgetter(0), segs[j]), 0.0))
 
     live = [j for j in range(len(jobs)) if out[j] is None]
     while live:
@@ -399,6 +409,8 @@ def _integrate(jobs, tol: float) -> list:
             e += 1e-16 * abs(v)
             out[j] = (NotConverged(f"error budget {tol} not met (reached {e})",
                                    partial=QuadResult(v, e)) if missed else (v, e))
+            if jobs[j] and abs(v) < sys.float_info.min:
+                out[j] = NotConverged("the integral underflows the double range")
     return out
 
 

@@ -373,6 +373,37 @@ class TestRun:
         x = float(err.split("near x=")[1].split()[0])
         assert lo < x <= hi
 
+    @pytest.mark.parametrize("argv, want, msg", [
+        (["verify", "thm1", "-f", "chi(0,1)", "-p", "1e308"], 2,
+         "remainder bound does not reach"),
+        (["norm", "-f", _spec([[{"c": 0.01}], []]), "-p", "400"], 2,
+         "the integral underflows the double range"),
+        (["verify", "thm1", "-f", _spec([[{"c": 1e-200}], []]), "-p", "2"], 2,
+         "the integral underflows the double range"),
+        (["sweep", "--family", "step", "-p", "2", "--grid", "1e300"], 3,
+         "NotRepresentable"),
+        (["sweep", "--family", "zero", "-p", "700"], 3, "NotRepresentable"),
+        (["sweep", "--family", "inf", "-p", "700"], 3, "NotRepresentable"),
+    ], ids=["lgamma-overflow", "norm-underflow", "thm1-underflow", "step-eps-1e300",
+            "zero-p700", "inf-p700"])
+    def test_out_of_range_refused(self, argv, want, msg):
+        code, out, err = capture(argv)
+        assert (code, out) == (want, "")
+        assert msg in err
+
+    def test_underflowed_sweep_unconverged(self):
+        code, out, _ = capture(["sweep", "--family", "step", "-p", "700"])
+        assert code == 2
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 7 and all(row[1] == row[3] == "nan" for row in rows)
+
+    def test_zero_function_unchanged(self):
+        zero = _spec([[]], breakpoints=(0, "inf"))
+        code, out, _ = capture(["norm", "-f", zero, "-p", "2"])
+        assert code == 0 and json.loads(out)["value"] == 0.0
+        code, out, err = capture(["verify", "thm1", "-f", zero, "-p", "2"])
+        assert (code, out) == (3, "") and "a.e. zero" in err
+
     def test_fuzz_computes_each_norm_pair_once(self, monkeypatch):
         import hardylab.verify as verify
 

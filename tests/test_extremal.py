@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hardylab.errors import EpsOutOfRange, InsufficientData
+from hardylab.errors import EpsOutOfRange, InsufficientData, NotRepresentable
 from hardylab.extremal import (
     FamilyKind,
     Sandwich,
@@ -83,8 +83,26 @@ class TestPaperBounds:
         assert hb.lo is None
         assert hb.hi == pytest.approx(p ** p / (eps * p * (p - 1 - eps * p) ** p))
 
+    @pytest.mark.parametrize("kind, eps, p", [
+        (FamilyKind.STEP, 1e300, 2.0),  # eps**p overflows
+        (FamilyKind.ZERO_SINGULAR, 1e-4, 700.0),  # p**p overflows
+        (FamilyKind.INFINITY_SINGULAR, 1e-4, 700.0),
+    ])
+    def test_out_of_range_refused(self, kind, eps, p):
+        with pytest.raises(NotRepresentable, match="leave the double range"):
+            paper_bounds(kind, eps, p)
+        with pytest.raises(NotRepresentable):
+            sweep(kind, p, [eps])
+
 
 class TestSweep:
+    def test_underflowed_norms_unconverged(self):
+        # at p = 700 both norms of the step family underflow: each record is
+        # unconverged with NaN norms, not a division by a zero norm
+        records = sweep(FamilyKind.STEP, 700.0, [0.1, 0.01])
+        assert [r.converged for r in records] == [False, False]
+        assert all(math.isnan(r.ratio) and r.sandwich_ok is None for r in records)
+
     def test_step_p2_identity(self):
         records = sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])
         assert [r.eps for r in records] == [0.1, 0.01, 0.001]

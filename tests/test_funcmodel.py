@@ -114,6 +114,17 @@ class TestAtoms:
         at = PowerLogAtom(1.0, -0.5, 1)
         assert at.value_at(math.e ** 2) == pytest.approx(0.7357588823428847, rel=1e-12)
 
+    @pytest.mark.parametrize("coef, k, want", [
+        (1.0, 1, -INF), (-2.0, 1, INF), (1.0, 3, -INF), (3.0, 2, INF), (-1.0, 0, -INF),
+    ])
+    def test_overflow_same_for_float_and_numpy(self, coef, k, want):
+        # 0.1**-400 overflows: a Python float raises, a numpy scalar gives inf;
+        # both then take ln(0.1)**k, which is negative for odd k
+        at = PowerLogAtom(coef, -400.0, k)
+        with np.errstate(over="ignore"):
+            got = at.value_at(np.float64(0.1))
+        assert at.value_at(0.1) == got == want
+
     def test_collect_merges_and_drops(self):
         atoms = [PowerLogAtom(1, 0.5, 1), PowerLogAtom(2, 0.5, 1),
                  PowerLogAtom(-3, 0.5, 1), PowerLogAtom(1, 1.0, 0)]

@@ -144,6 +144,30 @@ class TestCutoff:
             norms._choose_cutoff(*args)
         assert str(exc.value) == _outcome(_stepped_cutoff, *args)
 
+    def test_log_gamma_overflow_is_no_bound(self):
+        from hardylab import norms
+
+        # lgamma(q + 1) leaves the doubles past q ~ 2.5e305
+        assert norms._log_gamma_tail(0.0, 1.0, 1e308, 1.0) == INF
+        with pytest.raises(NotConverged, match="remainder bound does not reach"):
+            norms._choose_cutoff(0.0, 1.0, 1e308, 1.0, 1e-13)
+
+
+class TestUnderflow:
+    """An integral of |g|**p below the normal doubles is refused, not 0."""
+
+    @pytest.mark.parametrize("coef, p", [(0.01, 400.0), (1e-200, 2.0)])
+    def test_underflow_refused(self, coef, p):
+        g = make_piecewise([0, 1, INF], [[(coef, 0, 0)], []])
+        with pytest.raises(NotConverged, match="underflows the double range") as exc:
+            lp_norm(g, p)
+        assert exc.value.partial is None
+
+    def test_underflow_fails_alone(self):
+        tiny = make_piecewise([0, 1, INF], [[(0.01, 0, 0)], []])
+        bad, good = lp_norms([tiny, chi01()], 400.0)
+        assert isinstance(bad, NotConverged) and good == lp_norm(chi01(), 400.0)
+
 
 #: 1 - x on (0, 2]: |g|**1.5 has a kink at x = 1, and its integral is 0.8.
 KINKED = make_piecewise([0, 2, INF], [[(1, 0, 0), (-1, 1, 0)], []])
