@@ -45,7 +45,7 @@ from .extremal import (
     sweep_to_csv,
 )
 from .funcmodel import PiecewiseFn, make_piecewise
-from .norms import lp_norm
+from .norms import check_exponent, check_tol, lp_norm
 from .operators import dual_hardy, hardy, hardy_minus_identity
 from .verify import (
     P_GRID,
@@ -105,6 +105,7 @@ def fuzz_generate(config: FuzzConfig) -> PiecewiseFn:
 # Function DSL
 
 _TERM_RE = re.compile(r"(chi|pow)\s*\(([^()]*)\)\s*$")
+_TERM_SEP = re.compile(r"\+(?![^()]*\))")  # a '+' outside parentheses
 
 
 def _parse_number(token: str, position: int) -> float:
@@ -150,7 +151,7 @@ def parse_function_spec(text: str) -> PiecewiseFn:
         return _parse_json_spec(stripped)
     terms = []
     position = 0
-    for term in text.split("+"):
+    for term in _TERM_SEP.split(text):
         m = _TERM_RE.match(term.strip())
         if m is None:
             raise ParseError(
@@ -275,12 +276,16 @@ def _cmd_duality(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     verifiers = (verify_theorem2,) if args.monotone else (verify_theorem1, verify_crude)
+    ps = args.p or P_GRID
+    for p in ps:
+        check_exponent(p)
+    check_tol(args.tol)
     counts = {v: 0 for v in Verdict}
     first_failure = None
     for i in range(args.count):
         seed = (args.seed * 1000003 + i) % (1 << 63)
         f = fuzz_generate(FuzzConfig(seed=seed, monotone=args.monotone))
-        for p in args.p or P_GRID:
+        for p in ps:
             for verifier in verifiers:
                 rep = verifier(f, p, args.tol)
                 for verdict in (rep.verdict_lower, rep.verdict_upper):
@@ -298,24 +303,10 @@ def _cmd_fuzz(args) -> int:
     return _exit_from_verdicts([v for v in Verdict if counts[v]])
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return v
-
-
 def _count(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return int(text)
-
-
-def _exponent(text: str) -> float:
-    v = float(text)
-    if not 1.0 < v < math.inf:
-        raise argparse.ArgumentTypeError("p must be finite" if v > 1.0 else "p must exceed 1")
-    return v
 
 
 @functools.cache
@@ -335,12 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, function=True):
         if function:
             add_function(sp)
-        sp.add_argument("--tol", type=_positive_float, default=1e-9,
+        sp.add_argument("--tol", type=float, default=1e-9,
                         help="absolute tolerance on the p-th power of norms")
 
     sp = sub.add_parser("norm", help="Lp norm of a function")
     add_common(sp)
-    sp.add_argument("-p", type=_exponent, required=True)
+    sp.add_argument("-p", type=float, required=True)
     sp.set_defaults(fn=_cmd_norm)
 
     sp = sub.add_parser("apply", help="apply an operator, print the result DSL")
@@ -351,14 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="verdicts for the two-sided bounds")
     sp.add_argument("theorem", choices=["thm1", "thm2", "crude"])
     add_common(sp)
-    sp.add_argument("-p", type=_exponent, required=True)
+    sp.add_argument("-p", type=float, required=True)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("sweep", help="extremal family sweep")
     sp.add_argument("--family", choices=[k.value for k in FamilyKind],
                     required=True)
-    sp.add_argument("-p", type=_exponent, required=True)
-    sp.add_argument("--grid", type=_positive_float, nargs="*",
+    sp.add_argument("-p", type=float, required=True)
+    sp.add_argument("--grid", type=float, nargs="*",
                     help="explicit eps grid (default: log-spaced 1e-1..1e-4)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     add_common(sp, function=False)
@@ -366,14 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("duality", help="check the monotone equivalence")
     add_common(sp)
-    sp.add_argument("-p", type=_exponent, required=True)
+    sp.add_argument("-p", type=float, required=True)
     sp.set_defaults(fn=_cmd_duality)
 
     sp = sub.add_parser("fuzz", help="seeded property suite over random inputs")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--count", type=_count, default=20)
     sp.add_argument("--monotone", action="store_true")
-    sp.add_argument("-p", type=_exponent, action="append",
+    sp.add_argument("-p", type=float, action="append",
                     help="exponent (repeatable; default: the verification grid)")
     add_common(sp, function=False)
     sp.set_defaults(fn=_cmd_fuzz)

@@ -36,7 +36,7 @@ from .funcmodel import (
     piece_index,
     subtract,
 )
-from .norms import DEFAULT_TOL, lp_norms, unwrap
+from .norms import DEFAULT_TOL, check_exponent, check_tol, lp_norms, unwrap
 from .operators import cumulative_integral, dual_hardy, hardy
 
 
@@ -251,8 +251,11 @@ def check_equivalence(phi: PiecewiseFn, p: float,
     corresponding norms agree within their combined quadrature errors.  A
     failure raises EquivalenceViolated carrying the worst sample point: the
     identities are exact, so a violation means an implementation bug, never
-    a property of the input.
+    a property of the input.  ``tol`` bounds both pointwise gaps; a tenth of
+    min(tol, DEFAULT_TOL) is the quadrature budget of the norms.
     """
+    check_exponent(p)
+    check_tol(tol)
     f = phi_to_f(phi)
     lhs_diff = subtract(hardy(phi), phi)  # phi_to_f certified phi nonincreasing
     rhs_diff = hardy(f)

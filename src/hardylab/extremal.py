@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EpsOutOfRange, InsufficientData, NotConverged, NotRepresentable
 from .funcmodel import PiecewiseFn, make_piecewise
-from .norms import DEFAULT_TOL, QuadResult, lp_norms
+from .norms import DEFAULT_TOL, QuadResult, check_exponent, lp_norms
 from .operators import dual_hardy, hardy
 from ._parallel import map_ordered
 
@@ -70,6 +70,7 @@ class SweepRecord:
 
 def eps_range(kind: FamilyKind | str, p: float) -> tuple[float, float]:
     kind = FamilyKind(kind)
+    check_exponent(p)
     if kind is FamilyKind.STEP:
         return 0.0, math.inf
     if kind is FamilyKind.ZERO_SINGULAR:
@@ -107,7 +108,8 @@ def paper_bounds(kind: FamilyKind | str, eps: float,
                  p: float) -> tuple[Sandwich, Sandwich]:
     """Closed-form sandwiches for (||Hf_eps||_p**p, ||H*f_eps||_p**p).
 
-    NotRepresentable if a bound leaves the double range.
+    NotRepresentable if a bound overflows the double range.  Every bound is
+    positive, so one that underflows to 0.0 is left absent (None).
     """
     kind = FamilyKind(kind)
     _check_eps(kind, eps, p)
@@ -130,12 +132,13 @@ def paper_bounds(kind: FamilyKind | str, eps: float,
     if not all(math.isfinite(b) for sand in sands for b in sand if b is not None):
         raise NotRepresentable(f"the {kind.value} family's bounds at eps={eps}, "
                                f"p={p} leave the double range")
-    return sands
+    return tuple(Sandwich(*(b or None for b in sand)) for sand in sands)
 
 
 def limit_ratio(kind: FamilyKind | str, p: float) -> float:
     """The eps -> 0 limit of the family's natural norm ratio."""
     kind = FamilyKind(kind)
+    check_exponent(p)
     if kind is FamilyKind.STEP:
         return (p - 1.0) ** (-1.0 / p)
     if kind is FamilyKind.ZERO_SINGULAR:
@@ -152,10 +155,9 @@ def default_eps_grid(kind: FamilyKind | str, p: float) -> tuple[float, ...]:
     interesting regime is eps -> 0 anyway.
     """
     grid = np.geomspace(1e-1, 1e-4, 7)
+    _, hi = eps_range(kind, p)
     if FamilyKind(kind) is not FamilyKind.STEP:
-        _, hi = eps_range(kind, p)
-        cap = min(hi, 0.49 / p)
-        grid = grid[grid < cap]
+        grid = grid[grid < min(hi, 0.49 / p)]
     return tuple(float(e) for e in grid)
 
 

@@ -432,6 +432,7 @@ def check_tol(tol: float) -> None:
 
 def check_lp_defined(g: PiecewiseFn, p: float) -> None:
     """Leading-exponent integrability tests; raises NormDiverges on failure."""
+    check_exponent(p)
     if g.pieces[0]:
         a_min = min(a.exponent for a in g.pieces[0])
         if a_min * p <= -1.0:
@@ -675,6 +676,7 @@ def lp_norm_callable(f: CallableFn, p: float, tol: float = DEFAULT_TOL) -> QuadR
     tool, not a bound certificate.
     """
     check_exponent(p)
+    check_tol(tol)
     if f.zero_exponent_hint * p + 1.0 <= 0.0:
         raise NormDiverges("norm diverges at zero by the hinted exponent")
     gp = lambda x: max(f.evaluator(x), 0.0) ** p

@@ -61,12 +61,21 @@ class TestParse:
         assert evaluate(f, 0.5) == 1.0
 
     def test_parse_error_position(self):
-        with pytest.raises(ParseError):
-            parse_function_spec("chi(0,1)+nonsense(2)")
-        try:
-            parse_function_spec("chi(0,1)+nonsense(2)")
-        except ParseError as exc:
-            assert exc.position == 9
+        for spec in ("chi(0,1)+nonsense(2)", "chi(0,1)+wat("):
+            with pytest.raises(ParseError) as info:
+                parse_function_spec(spec)
+            assert info.value.position == 9
+
+    @pytest.mark.parametrize("spec, plain", [
+        ("chi(0,1e+1)", "chi(0,10)"),
+        ("pow(-0.5,0,+2)", "pow(-0.5,0,2)"),
+    ])
+    def test_plus_inside_parentheses(self, spec, plain):
+        # only a '+' outside parentheses joins terms; one in a number is a sign
+        assert parse_function_spec(spec) == parse_function_spec(plain)
+        code, out, _ = capture(["norm", "-f", spec, "-p", "1.5"])
+        assert (code, out) == capture(["norm", "-f", plain, "-p", "1.5"])[:2]
+        assert code == 0
 
     def test_round_trip_through_dsl(self):
         f = parse_function_spec("chi(0,1)+pow(-2,1,inf)")
@@ -213,20 +222,32 @@ class TestRun:
         code, _, _ = capture(["verify", "thm1", "-f", "chi(0,1)", "-p", "0.5"])
         assert code == 3
 
-    @pytest.mark.parametrize("argv", [
-        ["norm", "-f", "chi(0,1)"],
-        ["verify", "thm1", "-f", "chi(0,1)"],
-        ["verify", "thm2", "-f", "chi(0,1)"],
-        ["duality", "-f", "chi(0,1)"],
-        ["sweep", "--family", "step"],
-        ["fuzz", "--seed", "1", "--count", "1"],
-    ], ids=["norm", "thm1", "thm2", "duality", "sweep", "fuzz"])
-    def test_infinite_exponent_exit_three(self, argv):
-        # p * 0 = NaN made every envelope NaN: the cutoff search ran out
-        # (exit 2) and sweep printed NaN rows
-        code, out, err = capture(argv + ["-p", "inf"])
+    @pytest.mark.parametrize("argv, msg", [
+        pytest.param(command + bad, msg, id=name + suffix)
+        for name, command in {
+            "norm": ["norm", "-f", "chi(0,1)"],
+            "thm1": ["verify", "thm1", "-f", "chi(0,1)"],
+            "thm2": ["verify", "thm2", "-f", "chi(0,1)"],
+            "crude": ["verify", "crude", "-f", "chi(0,1)"],
+            "duality": ["duality", "-f", "chi(0,1)"],
+            "sweep": ["sweep", "--family", "step"],
+            "fuzz": ["fuzz", "--seed", "1", "--count", "1"],
+            "fuzz-count-0": ["fuzz", "--seed", "1", "--count", "0"],
+        }.items()
+        for suffix, bad, msg in (
+            ("", ["-p", "inf"], "BadExponent: p must be finite"),
+            ("-p-half", ["-p", "0.5"], "BadExponent: p must exceed 1"),
+            ("-tol-nan", ["-p", "2", "--tol", "nan"], "BadTolerance: tol must be positive"),
+            ("-tol-negative", ["-p", "2", "--tol", "-1"], "BadTolerance: tol must be positive"),
+        )
+    ])
+    def test_infinite_exponent_exit_three(self, argv, msg):
+        # the library refuses p and tol itself; the CLI adds no check of its
+        # own.  At p = inf, p * 0 = NaN made every envelope NaN: the cutoff
+        # search ran out (exit 2) and sweep printed NaN rows
+        code, out, err = capture(argv)
         assert code == 3 and out == ""
-        assert "p must be finite" in err
+        assert msg in err
 
     def test_parse_error_exit_three(self):
         code, _, err = capture(["verify", "thm1", "-f", "wat(", "-p", "2"])
@@ -396,6 +417,7 @@ class TestRun:
         assert code == 2
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 7 and all(row[1] == row[3] == "nan" for row in rows)
+        assert all(row[6] == row[7] == "" for row in rows)  # underflowed bounds
 
     def test_zero_function_unchanged(self):
         zero = _spec([[]], breakpoints=(0, "inf"))
@@ -403,6 +425,13 @@ class TestRun:
         assert code == 0 and json.loads(out)["value"] == 0.0
         code, out, err = capture(["verify", "thm1", "-f", zero, "-p", "2"])
         assert (code, out) == (3, "") and "a.e. zero" in err
+
+    def test_tiny_function_gets_verdict(self):
+        # 1e-120 * chi(0,1] has atoms, so it is not a.e. zero however small
+        code, out, _ = capture(["verify", "thm1", "-f", _spec([[{"c": 1e-120}], []]),
+                                "-p", "2"])
+        payload = json.loads(out)
+        assert code == 0 and payload["ratio"] == pytest.approx(1.0, abs=payload["ratio_err"])
 
     def test_fuzz_computes_each_norm_pair_once(self, monkeypatch):
         import hardylab.verify as verify

@@ -17,6 +17,8 @@ from hardylab.duality import (
     sample_grid,
 )
 from hardylab.errors import (
+    BadExponent,
+    BadTolerance,
     EquivalenceViolated,
     JumpDiscontinuity,
     NoDecayAtInfinity,
@@ -195,6 +197,13 @@ class TestCheckEquivalence:
         z = make_piecewise([0, INF], [[]])
         rep = check_equivalence(z, 2.0)
         assert rep.verdict == "pass"
+
+    def test_bad_tol_and_exponent_refused_as_given(self):
+        # the tol the caller gave is named, not the quadrature tol derived from it
+        with pytest.raises(BadTolerance, match="-1.0"):
+            check_equivalence(tent(), 2.0, -1.0)
+        with pytest.raises(BadExponent, match="exceed 1"):
+            check_equivalence(tent(), 1.0)
 
     def test_double_root_passes(self):
         # phi's last piece has a double root at its right breakpoint: the

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hardylab.errors import EpsOutOfRange, InsufficientData, NotRepresentable
+from hardylab.errors import BadExponent, EpsOutOfRange, InsufficientData, NotRepresentable
 from hardylab.extremal import (
     FamilyKind,
     Sandwich,
@@ -95,6 +95,24 @@ class TestPaperBounds:
             sweep(kind, p, [eps])
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda kind, p: sweep(kind, p),
+    lambda kind, p: sweep(kind, p, [0.01]),
+    lambda kind, p: family(kind, 0.01, p),
+    lambda kind, p: paper_bounds(kind, 0.01, p),
+    lambda kind, p: limit_ratio(kind, p),
+    lambda kind, p: default_eps_grid(kind, p),
+], ids=["sweep", "sweep-grid", "family", "paper_bounds", "limit_ratio",
+        "default_eps_grid"])
+def test_bad_exponent_refused(call, p):
+    # p - 1 divides every constant and limit; unchecked, p = 1 raises
+    # ZeroDivisionError and the zero family at p = 0.5 a complex-number TypeError
+    for kind in FamilyKind:
+        with pytest.raises(BadExponent):
+            call(kind, p)
+
+
 class TestSweep:
     def test_underflowed_norms_unconverged(self):
         # at p = 700 both norms of the step family underflow: each record is
@@ -102,6 +120,9 @@ class TestSweep:
         records = sweep(FamilyKind.STEP, 700.0, [0.1, 0.01])
         assert [r.converged for r in records] == [False, False]
         assert all(math.isnan(r.ratio) and r.sandwich_ok is None for r in records)
+        # eps**p underflows to 0.0 too: an upper bound of 0 on a positive
+        # norm**p would be wrong, so the bound is absent
+        assert all(r.sandwich_lo is None and r.sandwich_hi is None for r in records)
 
     def test_step_p2_identity(self):
         records = sweep(FamilyKind.STEP, 2.0, [0.1, 0.01, 0.001])

@@ -10,6 +10,7 @@ from hardylab.funcmodel import evaluate, make_piecewise, scale
 from hardylab.norms import (
     CallableFn,
     QuadResult,
+    check_lp_defined,
     ip_via_parts,
     ipstar_via_fubini,
     lp_norm,
@@ -237,6 +238,9 @@ class TestLpNorm:
             lp_norm(chi01(), 1.0)
         with pytest.raises(BadExponent, match="finite"):
             lp_norm(chi01(), math.inf)
+        for p in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(BadExponent):
+                check_lp_defined(chi01(), p)
 
     def test_unbounded_tol_keeps_first_cutoffs(self):
         # each end keeps its first cutoff and still counts its remainder
@@ -244,14 +248,17 @@ class TestLpNorm:
         res = lp_norm(g, 2.0, INF)
         assert abs(res.value - 4.5 ** 0.5) <= res.err < 1e-6
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, -1.0])
     def test_bad_tol_refused(self, tol):
         # a NaN tol passes no err > goal test, so it would read as converged
         g = make_piecewise([0, 1, INF], [[(1, -0.3, 0)], [(2, -1.5, 0)]])
         f = make_piecewise([0, 1, INF], [[(1, 0, 0)], []])
         for call in (lambda: lp_norm(g, 2.0, tol), lambda: lp_norms([g, f], 2.0, tol),
                      lambda: ip_via_parts(f, 2.0, tol),
-                     lambda: ipstar_via_fubini(f, 2.0, tol)):
+                     lambda: ipstar_via_fubini(f, 2.0, tol),
+                     lambda: lp_norm_callable(CallableFn(lambda x: float(x <= 1.0),
+                                                         singular_points=(1.0,)),
+                                              2.0, tol)):
             with pytest.raises(BadTolerance, match="tol must be positive"):
                 call()
 

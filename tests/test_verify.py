@@ -334,6 +334,10 @@ class TestTheorem2:
         with pytest.raises(NormDiverges):
             verify_theorem2(const, 2.0)
 
+    def test_zero_phi_degenerate(self):
+        with pytest.raises(DegenerateInput, match="a.e. zero"):
+            verify_theorem2(make_piecewise([0, INF], [[]]), 2.0)
+
     @pytest.mark.parametrize("seed", [19, 84])
     @pytest.mark.parametrize("p", [2.0, 3.0, 8.0])
     def test_difference_bound_restated(self, seed, p):
