@@ -104,6 +104,9 @@ def collect_atoms(atoms) -> tuple[PowerLogAtom, ...]:
     coefficient is kept, and one that overflowed itself raises
     NotRepresentable.
     """
+    atoms = atoms if isinstance(atoms, (tuple, list)) else tuple(atoms)
+    if len(atoms) < 2:  # nothing to merge: a lone atom stays unless below COEF_FLOOR
+        return tuple(atoms) if not atoms or abs(atoms[0].coef) >= COEF_FLOOR else ()
     acc: dict[tuple[float, int], list] = {}
     for at in atoms:
         entry = acc.setdefault((at.exponent, at.log_power), [0.0, 0.0, 0, at])

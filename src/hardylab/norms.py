@@ -33,13 +33,20 @@ regions share one error budget.
   * divergence is decided up front by the leading-exponent tests: at zero
     a_min * p <= -1 diverges, on the unbounded piece a_max * p >= -1 does.
 
-Raising an atom sum to a real power is always done pointwise inside the
-quadrature; ln(x)**(k*p) has no closed antiderivative for non-integer k*p.
-Integrand values are computed in log space throughout so that norms of
-functions spanning hundreds of orders of magnitude neither overflow nor
-silently lose their far-field mass.
+A piece whose factors are each one log-free atom c * x**a integrates in
+closed form, |c|**p * x**(a*p + 1) / (a*p + 1) for g**p, with no quadrature;
+its err is a forward bound on the rounding of the doubles given (see
+_closed_form).  Any other atom sum is raised to its real power pointwise
+inside the quadrature; ln(x)**(k*p) has no closed antiderivative for
+non-integer k*p.  There the err adds to the Kronrod estimates a bound on the
+cancellation in each atom sum (see _compile).  Values, closed or not, are
+computed in log space throughout so that norms of functions spanning
+hundreds of orders of magnitude neither overflow nor silently lose their
+far-field mass.
 
-All results are estimates validated by refinement, not certified enclosures.
+The quadrature's part of a result is an estimate validated by refinement,
+not a certified enclosure.  The rounding bounds are added to err past the
+budget test: bisection cannot shrink them.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ DEFAULT_TOL = 1e-9
 _REL_FLOOR = 1e-12
 
 _LN_HUGE = 700.0
+_U = sys.float_info.epsilon / 2.0  # unit roundoff
 _E = math.e
 _MAX_INTERVALS = 4096  # segment cap of one integral
 
@@ -80,10 +88,11 @@ _MAX_INTERVALS = 4096  # segment cap of one integral
 class QuadResult:
     """A numerical value with an absolute error bound.
 
-    The true quantity lies in [value - err, value + err] up to the estimate
-    quality of the Gauss/Kronrod pair; the bound is validated by refinement
-    (recomputing at tol/10 stays within err), not certified by interval
-    arithmetic.
+    The true quantity lies in [value - err, value + err].  For pieces
+    integrated in closed form, err holds a first-order bound on rounding;
+    for the rest, it rests on the estimate quality of the Gauss/Kronrod pair,
+    validated by refinement (recomputing at tol/10 stays within err), not
+    certified by interval arithmetic.
     """
 
     value: float
@@ -140,25 +149,30 @@ _W = np.array([_WK, _WG])
 
 
 def _gk15(fn, reg, a, b):
-    """Kronrod-15 values and |K15 - G7| errors of n segments (arrays of region
-    ids and ends), and (region, node, value) of each row's first non-finite
+    """Kronrod-15 values, |K15 - G7| errors and Kronrod integrals of fn's
+    rounding bound (0 where it has none) of n segments (arrays of region ids
+    and ends), and (region, node, value) of each row's first non-finite
     integrand value, all from one fn call.  einsum sums a row in a fixed
     order, where a BLAS matmul rounds it by its place in the batch."""
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XI
-    fv = fn(reg, nodes)
+    fv, rv = fn(reg, nodes)
     s_k, s_g = np.einsum("ij,kj->ki", fv, _W)
+    rnd = np.zeros(len(a)) if rv is None else np.einsum("ij,j->i", rv, _WK) * np.abs(half)
     bad = ~np.isfinite(fv)
     rows = np.flatnonzero(bad.any(1)) if bad.any() else ()
     fails = [(int(reg[r]), nodes[r][bad[r]][0], fv[r][bad[r]][0]) for r in rows]
-    return s_k * half, np.abs(s_k - s_g) * np.abs(half), fails
+    return s_k * half, np.abs(s_k - s_g) * np.abs(half), rnd, fails
 
 
 def _geom_seeds(a: float, b: float) -> list[tuple[float, float]]:
-    """Seed segments for a compact interval, log-subdivided when it is wide."""
+    """Seed segments for a compact interval, log-subdivided into octaves when
+    it is wide: on a segment of many octaves, |K15 - G7| of a steep power
+    such as x**-2.5 is below its true error.  b / a overflows past about 308
+    decades; the difference of logs does not."""
     if a <= 0.0 or b / a <= 16.0:
         return [(a, b)]
-    n = min(24, max(2, int(math.ceil(math.log2(b / a)))))
+    n = max(2, int(math.ceil(math.log2(b) - math.log2(a))))
     edges = np.geomspace(a, b, n + 1)
     return list(zip(edges[:-1], edges[1:]))
 
@@ -197,22 +211,32 @@ def _compile(pis):
     arrays of log|c|, exponent, sign, sign at x < 1 and log power (atoms
     first); values are |atom sum|**power in log space, shifted by the largest
     atom, with log atoms dropped at x = 1, 0 on underflow, +inf on overflow.
+
+    fn returns the values and, if some factor sums several atoms, a bound on
+    their rounding from cancellation: log|sum| is off by about 4u * sum|atoms|
+    / |sum| (u the unit roundoff), so the value by 4u * sum_j |q_j| *
+    (sum|atoms_j| / |sum atoms_j|) over the factors j of several atoms; else
+    None.
     """
     n_f = max(len(pi.factors) for pi in pis)
     n_a = max(len(atoms) for pi in pis for atoms, _ in pi.factors)
     tab = np.zeros((5, n_a, len(pis), n_f))
     tab[0, 1:] = -np.inf  # padding atoms; a padded factor is 1**0
     tab[2:4] = 1.0
-    cols = np.zeros((len(pis), 4 + n_f))  # interior?, t sign, ln const, Jacobian, powers
+    # interior?, t sign, ln const, Jacobian, powers, cancellation weights
+    cols = np.zeros((len(pis), 4 + 2 * n_f))
     for i, pi in enumerate(pis):
         cols[i, 2] = math.log(pi.const)
         for j, (atoms, q) in enumerate(pi.factors):
             cols[i, 4 + j] = q
+            if len(atoms) > 1:
+                cols[i, 4 + n_f + j] = 4.0 * _U * abs(q)
             for k, at in enumerate(atoms):
                 sg = math.copysign(1.0, at.coef)
                 tab[:, k, i, j] = (math.log(abs(at.coef)), at.exponent, sg,
                                    -sg if at.log_power % 2 else sg, at.log_power)
     has_logs = tab[4].any()
+    multi = cols[:, 4 + n_f:].any()
     tab, cols = np.repeat(tab, 3, axis=2), np.repeat(cols, 3, axis=0)
     kind = np.arange(len(cols)) % 3
     cols[:, 0], cols[:, 1], cols[:, 3] = kind == 1, kind - 1, kind != 1
@@ -220,6 +244,7 @@ def _compile(pis):
     def fn(reg, nodes):
         c = cols[reg].T[:, :, None]
         ln_c, expo, sign, sign_neg, logp = tab[:, :, reg, None]
+        rnd = None
         with np.errstate(all="ignore"):
             lx = np.where(c[0] > 0.0, np.log(nodes), c[1] * nodes)
             log_h = c[2] + c[3] * lx
@@ -232,14 +257,18 @@ def _compile(pis):
                 flog = m[0]
             else:
                 best = m.max(axis=0)
-                s = (sign * np.exp(m - best)).sum(axis=0)
-                flog = best + np.log(np.abs(s))
+                mags = np.exp(m - best)
+                s = np.abs((sign * mags).sum(axis=0))
+                flog = best + np.log(s)
             for j in range(n_f):
                 log_h = log_h + c[4 + j] * flog[..., j]
             log_h[log_h <= -745.0] = -np.inf
             out = np.exp(log_h)
+            if multi:  # a sum that cancels to 0 has value 0, and so no rounding
+                cond = mags.sum(axis=0) / np.maximum(s, 1e-300)
+                rnd = out * np.einsum("ijk,ki->ij", cond, c[4 + n_f:, :, 0])
         out[log_h >= _LN_HUGE] = np.inf
-        return out
+        return out, rnd
 
     return fn
 
@@ -264,6 +293,71 @@ def _envelope(pi: _ProductIntegrand, at_zero: bool) -> tuple[float, float, float
     if s <= 0.0:
         raise NormDiverges(f"integral diverges at {'zero' if at_zero else 'infinity'}")
     return log_m, s, q
+
+
+def _closed_form(pi: _ProductIntegrand, lo: float, hi: float) -> tuple[float, float]:
+    """(value, err) of the integral of const * prod_j |c_j x**a_j|**q_j over
+    (lo, hi], which is exp(L) * x**(b - 1) with L = ln const + sum q_j ln|c_j|
+    and b = 1 + sum q_j a_j, in log space:
+
+        exp(L + b ln hi - ln b)             on (0, hi], b > 0,
+        exp(L + b ln lo - ln(-b))           on (lo, inf), b < 0,
+        exp(L + b ln x) * Lam * exprel(-|b| Lam)   on a bounded piece,
+
+    with Lam = ln(hi/lo) and x = hi if b >= 0, else lo.  NormDiverges for a b
+    on the wrong side; NotConverged, naming a point of the piece, if the
+    integrand per unit ln x, exp(L + b ln x), or the value reaches
+    exp(_LN_HUGE), as the quadrature would refuse it.
+
+    err bounds the rounding of the doubles given, not a quadrature estimate.
+    With u the unit roundoff, n factors, and log and exp within 2u each:
+    every term of L rounds by at most 3u of itself and their sum by n u of
+    their magnitudes, so L is off by (n + 3) u S_L, S_L = |ln const| + sum
+    |q_j ln|c_j||; b is off by db = (n + 1) u (1 + sum |q_j a_j|), which is
+    large next to b where b = a p + 1 cancels near the divergence boundary;
+    b ln x is off by db |ln x| + 3u |b ln x|, and L + b ln x rounds by u of
+    S_L + |b ln x|.  At an end, ln b is off by -ln(1 - db/|b|) (no bound once
+    db >= |b|) and 2u |ln b|.  On a bounded piece Lam = log1p((hi - lo)/lo)
+    is within 3u of itself (ln hi - ln lo, past the doubles' range of hi/lo,
+    too).  The slope of ln exprel(-w) in w >= 0 is 1/w - 1/(e**w - 1), at
+    most min(1/2, 1/w), so db moves ln(Lam exprel(-|b| Lam)) by at most db
+    min(Lam, 1/|b|), and the 4u relative rounding of w = |b| Lam by 4u; Lam,
+    exprel, the product and its log add 3u, 3u, u and 2u |ln(Lam exprel)|.
+    The final sum rounds by u of its magnitude and exp by 2u.  The total d
+    bounds the error of ln value to first order, so value * expm1(d) bounds
+    that of the value.
+    """
+    n = len(pi.factors)
+    terms = [math.log(pi.const), *(q * math.log(abs(atoms[0].coef))
+                                   for atoms, q in pi.factors)]
+    slopes = [q * atoms[0].exponent for atoms, q in pi.factors]
+    log_c = reduce(add, terms)
+    b = reduce(add, slopes, 1.0)
+    s_l = reduce(add, map(abs, terms))
+    db = (n + 1) * _U * reduce(add, map(abs, slopes), 1.0)
+    for end, ok in (("zero", lo > 0.0 or b > 0.0), ("infinity", hi < math.inf or b < 0.0)):
+        if not ok:
+            raise NormDiverges(f"integral diverges at {end}")
+    if lo == 0.0 or math.isinf(hi):
+        x = hi if lo == 0.0 else lo
+        log_f = -math.log(abs(b))
+        d_f = (-math.log1p(-db / abs(b)) if db < abs(b) else math.inf) + 2.0 * _U * abs(log_f)
+    else:
+        ratio = (hi - lo) / lo
+        lam = math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+        x = hi if b >= 0.0 else lo
+        log_f = math.log(lam * float(exprel(-abs(b) * lam)))
+        d_f = db * min(lam, 1.0 / abs(b) if b else math.inf) + _U * (11.0 + 2.0 * abs(log_f))
+    ln_x = math.log(x)
+    log_top = log_c + b * ln_x
+    log_v = log_top + log_f
+    if not (log_top < _LN_HUGE and log_v < _LN_HUGE):  # NaN too: L overflowed
+        t = (_LN_HUGE - log_c) / b if b else math.inf  # where exp(L + b ln x) is e**700
+        x = min(max(math.exp(min(t, 709.0)), math.nextafter(lo, hi)), hi)
+        raise NotConverged(f"integrand overflows the double range near x={x}")
+    d = ((n + 4) * s_l + 4.0 * abs(b * ln_x) + abs(log_v) + 2.0) * _U + db * abs(ln_x) + d_f
+    log_err = log_v + (math.log(math.expm1(d)) if d < 1.0 else d)  # ln(e**d - 1) < d
+    return math.exp(log_v), math.exp(log_err) if log_err < 709.0 else math.inf
 
 
 def _log_gamma_tail(log_m: float, s: float, q: float, t: float) -> float:
@@ -301,39 +395,57 @@ def _choose_cutoff(log_m: float, s: float, q: float, t0: float,
 def _integrate(jobs, tol: float) -> list:
     """One integral per job, a list of tasks (pi, lo, hi), sharing evaluator calls.
 
-    Task i of all the jobs has regions 3i (zero end), 3i + 1 (interior) and
-    3i + 2 (infinity end) of one table; each seed pass, cutoff push and
-    adaptive round is one _gk15 call.  A job keeps its own ends, list of
-    segments, segment cap and goal max(tol, _REL_FLOOR * |value|), so it
-    returns the (value, err) it would alone, or the NotConverged it would raise.
-    A job with tasks whose value ends below the normal doubles underflowed, and
-    is NotConverged too.
+    A task whose factors are each one log-free atom is integrated by
+    _closed_form and takes no part in the quadrature.  Quadrature task i of
+    all the jobs has regions 3i (zero end), 3i + 1 (interior) and 3i + 2
+    (infinity end) of one table; each seed pass, cutoff push and adaptive
+    round is one _gk15 call.  A job keeps its own ends, list of segments,
+    segment cap and goal max(tol, _REL_FLOOR * |value|), so it returns the
+    (value, err) it would alone, or the NotConverged it would raise.  The
+    rounding bounds, of the closed forms and of the evaluator's cancellation,
+    are added to err at the end, past the goal, which bisection cannot bring
+    them under.  A job with tasks whose value ends below the normal doubles
+    underflowed, and is NotConverged too.
     """
-    tasks = [task for job in jobs for task in job]
-    owner = [j for j, job in enumerate(jobs) for _ in job]
-    fn = _compile([pi for pi, _, _ in tasks]) if tasks else None
     out = [None] * len(jobs)  # a job's NotConverged, or its (value, err) at the end
     ends, seeds, segs = ([[] for _ in jobs] for _ in range(3))
-    for i, (pi, lo, hi) in enumerate(tasks):
-        if lo == 0.0:
-            lo = min(hi, 1.0 / _E)
-            ends[owner[i]].append([3 * i, _envelope(pi, True), -math.log(lo), math.inf])
-        x1 = max(lo, _E) if math.isinf(hi) else hi
-        if lo < x1:
-            seeds[owner[i]] += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
-        if math.isinf(hi):
-            ends[owner[i]].append([3 * i + 2, _envelope(pi, False), math.log(x1), math.inf])
+    exact = [[0.0, 0.0] for _ in jobs]  # sum of a job's closed forms, and its err
+    pis, owner = [], []
+    for j, job in enumerate(jobs):
+        for pi, lo, hi in job:
+            if all(len(atoms) == 1 and not atoms[0].log_power for atoms, _ in pi.factors):
+                try:
+                    v, e = _closed_form(pi, lo, hi)
+                except NotConverged as exc:
+                    out[j] = out[j] or exc
+                    continue
+                total = exact[j][0] + v
+                exact[j] = [total, exact[j][1] + e + _U * abs(total)]  # and the sum's rounding
+                continue
+            i = len(pis)
+            pis.append(pi)
+            owner.append(j)
+            if lo == 0.0:
+                lo = min(hi, 1.0 / _E)
+                ends[j].append([3 * i, _envelope(pi, True), -math.log(lo), math.inf])
+            x1 = max(lo, _E) if math.isinf(hi) else hi
+            if lo < x1:
+                seeds[j] += [(3 * i + 1, a, b) for a, b in _geom_seeds(lo, x1)]
+            if math.isinf(hi):
+                ends[j].append([3 * i + 2, _envelope(pi, False), math.log(x1), math.inf])
+    fn = _compile(pis) if pis else None
 
     def run(live, batch):
         """Evaluate the live jobs' non-empty (region, a, b) seeds into segments
-        (-err, region, a, b, value); a non-finite value fails a job.  Returns
-        the live jobs not failed."""
+        (-err, region, a, b, value, rounding bound); a non-finite value fails a
+        job.  Returns the live jobs not failed."""
         todo = [seed for j in live for seed in batch[j] if seed[2] > seed[1]]
         if not todo:
             return list(live)
         regs, a, b = (np.array(col) for col in zip(*todo))
-        v, e, fails = _gk15(fn, regs, a, b)
-        for item in zip((-e).tolist(), regs.tolist(), a.tolist(), b.tolist(), v.tolist()):
+        v, e, r, fails = _gk15(fn, regs, a, b)
+        for item in zip((-e).tolist(), regs.tolist(), a.tolist(), b.tolist(), v.tolist(),
+                        r.tolist()):
             segs[owner[item[1] // 3]].append(item)
         for reg, t, v in fails:
             j = owner[reg // 3]
@@ -378,7 +490,7 @@ def _integrate(jobs, tol: float) -> list:
     rems = [0.5 * reduce(add, map(itemgetter(3), job_ends), 0.0) for job_ends in ends]
 
     def totals(j):  # (value, err) of job j, half the remainder bound in each
-        return (reduce(add, map(itemgetter(4), segs[j]), 0.0) + rems[j],
+        return (reduce(add, map(itemgetter(4), segs[j]), exact[j][0]) + rems[j],
                 rems[j] - reduce(add, map(itemgetter(0), segs[j]), 0.0))
 
     live = [j for j in range(len(jobs)) if out[j] is None]
@@ -391,13 +503,13 @@ def _integrate(jobs, tol: float) -> list:
             goal = max(tol, _REL_FLOOR * abs(value))
             n = 0
             while err > goal and len(items) + n < _MAX_INTERVALS:
-                neg_e, _, a, b, _ = items[n]
+                neg_e, _, a, b = items[n][:4]
                 if -neg_e <= 1e-16 * (abs(value) + 1e-300) or (b - a) <= 1e-15 * abs(a):
                     break  # splitting is below double precision resolution
                 err += neg_e
                 n += 1
             if n:
-                children[j] = [half for _, r, a, b, _ in items[:n]
+                children[j] = [half for _, r, a, b, *_ in items[:n]
                                for half in ((r, a, 0.5 * (a + b)), (r, 0.5 * (a + b), b))]
                 del items[:n]
         live = run(list(children), children)
@@ -406,7 +518,7 @@ def _integrate(jobs, tol: float) -> list:
             segs[j].sort(key=lambda item: item[1:3])  # sum in spatial order
             v, e = totals(j)
             missed = e > max(tol, _REL_FLOOR * abs(v))
-            e += 1e-16 * abs(v)
+            e += 1e-16 * abs(v) + exact[j][1] + reduce(add, map(itemgetter(5), segs[j]), 0.0)
             out[j] = (NotConverged(f"error budget {tol} not met (reached {e})",
                                    partial=QuadResult(v, e)) if missed else (v, e))
             if jobs[j] and abs(v) < sys.float_info.min:

@@ -137,6 +137,18 @@ class TestAtoms:
         assert out == (PowerLogAtom(4.0, 0.5, 1), lone)
         assert out[1] is lone
 
+    @pytest.mark.parametrize("coef", [2.0, -1e-300, 1e-301, 0.0])
+    def test_collect_one_atom_without_grouping(self, coef, monkeypatch):
+        # one atom needs no merge: it comes back as it is, or is dropped
+        # below COEF_FLOOR, whether given in a list or a generator
+        lone = PowerLogAtom(coef, 0.5, 1)
+        monkeypatch.setattr("builtins.sorted", None)  # the grouping path sorts
+        for given in ([lone], (at for at in [lone])):
+            out = collect_atoms(given)
+            assert out == ((lone,) if abs(coef) >= 1e-300 else ())
+            assert not out or out[0] is lone
+        assert collect_atoms([]) == collect_atoms(iter(())) == ()
+
     def test_unit_factor_atoms_reused(self, atoms_built):
         f = make_piecewise([0, 1, INF], [[(1, 0, 0)], [(2, -2, 0)]])
         g = make_piecewise([0, 2, INF], [[(1, 1, 0)], []])

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hardylab.cli import FuzzConfig, fuzz_generate
 from hardylab.errors import (BadExponent, BadTolerance, DivergentAtZero, NormDiverges,
@@ -80,8 +85,10 @@ class TestLpNorms:
             return real(log_m, *args)
 
         monkeypatch.setattr(norms, "_choose_cutoff", picky)
-        good, bad = lp_norms([chi01(), scale(chi01(), 1e10)], 2.0)
-        assert good == lp_norm(chi01(), 2.0)
+        # a log atom: the zero end is integrated, and cut, by quadrature
+        g = make_piecewise([0, 1, INF], [[(1, 0.5, 1)], []])
+        good, bad = lp_norms([g, scale(g, 1e10)], 2.0)
+        assert good == lp_norm(g, 2.0)
         assert isinstance(bad, NotConverged)
 
     def test_batch_matches_each_alone(self):
@@ -676,6 +683,19 @@ def _scalar_integrand(pi, lx, extra):
     return math.exp(log_h)
 
 
+def _scalar_cancellation(pi, lx):
+    """Reference for the compiled evaluator's rounding bound relative to the
+    value: 4u * sum |q_j| * sum|atoms_j| / |sum atoms_j| over the factors j
+    of several atoms, at x = exp(lx)."""
+    total = 0.0
+    for atoms, power in pi.factors:
+        if len(atoms) > 1:
+            vals = [at.coef * math.exp(at.exponent * lx) * lx ** at.log_power
+                    for at in atoms]
+            total += 4.0 * 2.0 ** -53 * abs(power) * sum(map(abs, vals)) / abs(sum(vals))
+    return total
+
+
 class TestCompiledEvaluator:
     def test_matches_scalar_reference(self):
         from hardylab.funcmodel import PowerLogAtom as A
@@ -703,8 +723,9 @@ class TestCompiledEvaluator:
         cases += [(10, 1.0), (10, 0.4)]  # log-only factor at x = 1 and x < 1
         regions = np.array([r for r, _ in cases])
         nodes = np.array([[t] for _, t in cases])
-        got = _compile(pis)(regions, nodes)[:, 0]
-        for (r, node), g in zip(cases, got):
+        got, rnd = _compile(pis)(regions, nodes)
+        got, rnd = got[:, 0], rnd[:, 0]
+        for (r, node), g, e in zip(cases, got, rnd):
             i, kind = divmod(r, 3)
             lx = math.log(node) if kind == 1 else (kind - 1) * node
             want = _scalar_integrand(pis[i], lx, 0.0 if kind == 1 else lx)
@@ -712,4 +733,218 @@ class TestCompiledEvaluator:
                 assert g == want, (r, node)
             else:
                 assert g == pytest.approx(want, rel=1e-13), (r, node)
+                want_e = _scalar_cancellation(pis[i], lx) * want
+                assert e == pytest.approx(want_e, rel=1e-12, abs=0.0), (r, node)
         assert 0.0 in got and math.inf in got
+        # one factor of one atom each: no cancellation, and no bound computed
+        assert _compile(pis[2:3])(regions[:1], nodes[:1])[1] is None
+
+
+def _one_atom_tasks(g, p):
+    """(integrand, lo, hi) of g**p on each piece of g holding one log-free atom."""
+    from hardylab.norms import _ProductIntegrand
+
+    return [(_ProductIntegrand(1.0, ((atoms, p),)), lo, hi)
+            for atoms, lo, hi in zip(g.pieces, g.breakpoints, g.breakpoints[1:])
+            if len(atoms) == 1 and not atoms[0].log_power]
+
+
+def _exact_one_atom(mpmath, pi, lo, hi):
+    """The integral of const * prod_j |c_j x**a_j|**q_j over (lo, hi], each
+    double taken as exact, in mpmath at its working precision."""
+    mpf = mpmath.mpf
+    scale = mpf(pi.const)
+    b = mpf(1)
+    for (atom,), q in pi.factors:
+        scale *= abs(mpf(atom.coef)) ** mpf(q)
+        b += mpf(q) * mpf(atom.exponent)
+    if lo == 0.0:
+        return scale * mpf(hi) ** b / b
+    if math.isinf(hi):
+        return -scale * mpf(lo) ** b / b
+    lam = mpmath.log(mpf(hi) / mpf(lo))  # (hi**b - lo**b)/b without cancellation
+    return scale * mpf(lo) ** b * lam * mpmath.expm1(b * lam) / (b * lam) if b else scale * lam
+
+
+class TestClosedForm:
+    """Integrands whose factors are single log-free atoms are integrated in
+    closed form, with an err that bounds the rounding of the doubles given."""
+
+    def test_no_quadrature_for_one_atom_pieces(self, gk15_calls, evaluator_calls):
+        from hardylab.extremal import family
+
+        for p in (1.5, 2.0, 8.0):
+            res = lp_norm(chi01(), p)
+            assert abs(res.value - 1.0) <= res.err
+        for p in (1.2, 1.7):
+            lp_norm(hardy(family("zero", 1e-3, p)), p)
+        assert gk15_calls() == 0 and evaluator_calls() == 0
+
+    def test_err_audit_against_stored_atoms(self, monkeypatch):
+        mpmath = pytest.importorskip("mpmath")
+        from hardylab.extremal import default_eps_grid, family
+        from hardylab.norms import _closed_form
+
+        monkeypatch.setattr(mpmath.mp, "dps", 50)
+        cases = []
+        for kind in ("step", "zero", "inf"):
+            for p in (1.2, 1.5, 1.9, 2.5, 3.0, 5.0, 8.0):
+                for eps in default_eps_grid(kind, p):
+                    f = family(kind, eps, p)
+                    cases += [(p, hardy(f)), (p, dual_hardy(f))]
+        for i in range(300):
+            f = fuzz_generate(FuzzConfig(seed=50_000 + i))
+            for p in (1.1, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 8.0):
+                cases += [(p, hardy(f)), (p, dual_hardy(f))]
+        worst, count = 0.0, 0
+        for p, g in cases:
+            for pi, lo, hi in _one_atom_tasks(g, p):
+                value, err = _closed_form(pi, lo, hi)
+                miss = float(abs(mpmath.mpf(value) - _exact_one_atom(mpmath, pi, lo, hi)))
+                assert miss <= err, (pi, lo, hi, value, err, miss)
+                worst, count = max(worst, miss / err), count + 1
+        assert count > 5000 and worst > 0.0
+
+    @pytest.mark.parametrize("p", [1.3, 3.0])
+    def test_identity_products_in_closed_form(self, p, gk15_calls):
+        # Hf = x**0.7 / 1.7 where f = x**0.7 on (0, 1], and H*f = 1.2 x**-2.5
+        # where f = 3 x**-2.5 on (1, inf): one atom times one atom
+        f1 = make_piecewise([0, 1, INF], [[(1, 0.7, 0)], []])
+        f2 = make_piecewise([0, 1, INF], [[], [(3, -2.5, 0)]])
+        parts, fubini = ip_via_parts(f1, p), ipstar_via_fubini(f2, p)
+        assert gk15_calls() == 0
+        want_parts = p / (p - 1.0) * 1.7 ** (1.0 - p) / (0.7 * p + 1.0)
+        want_fubini = 3.0 * p * 1.2 ** (p - 1.0) / (2.5 * p - 1.0)
+        for res, want in ((parts, want_parts), (fubini, want_fubini)):
+            assert abs(res.value - want) <= res.err + 1e-15 * want
+            assert res.err < 1e-14 * want
+
+    def test_wide_piece(self):
+        from hardylab.cli import run
+
+        # 310 decades: both lo/hi and hi/lo leave the doubles
+        for atoms, want in (('{"c":1,"a":0.5,"k":0}', 1e20 / 2.0),
+                            ('{"c":1,"a":0.5,"k":0},{"c":1,"a":0.2,"k":0}',
+                             1e20 / 2.0 + 2.0 * 1e17 / 1.7 + 1e14 / 1.4)):
+            spec = f'{{"breakpoints":[0,1e-300,1e10,"inf"],"pieces":[[],[{atoms}],[]]}}'
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["norm", "-f", spec, "-p", "2"])
+            assert code == 0
+            payload = json.loads(out.getvalue())
+            assert payload["converged"]
+            assert abs(payload["value"] - math.sqrt(want)) <= payload["err"] + 1e-15 * payload["value"]
+
+    def test_geom_seeds_past_the_double_ratio(self):
+        from hardylab.norms import _geom_seeds
+
+        seeds = _geom_seeds(1e-300, 1e10)  # 1030 octaves
+        assert len(seeds) == 1030 and seeds[0][0] == 1e-300 and seeds[-1][1] == 1e10
+
+    def test_wide_piece_by_quadrature_within_err(self):
+        from hardylab.funcmodel import PowerLogAtom
+        from hardylab.norms import _integrate, _ProductIntegrand
+
+        # x**-2.5 over 70 decades as two half atoms; with 24 seeds of about 3
+        # decades each, |K15 - G7| understated the error by half
+        atoms = (PowerLogAtom(0.5, -1.25), PowerLogAtom(0.5, -1.25))
+        (value, err), = _integrate([[(_ProductIntegrand(1.0, ((atoms, 2.0),)), 1.0, 1e70)]],
+                                   5e-10)
+        assert abs(value - 2.0 / 3.0) <= err
+
+    @pytest.mark.parametrize("coef, a, p, lo, hi", [
+        (1e100, -0.5, 8.0, 2.0, 3.0),  # every point of the piece overflows
+        (1e100, 0.0, 8.0, 2.0, 3.0),  # b = 1: exp(L + b ln x) grows with x
+        (1e40, -2.0, 8.0, 3.0, INF),  # it crosses e**700 past lo
+        (1e150, -0.4999999999, 2.0, 0.0, 1.0),  # only 1/b takes the value past it
+    ])
+    def test_overflow_named_inside(self, coef, a, p, lo, hi):
+        from hardylab.funcmodel import PowerLogAtom
+        from hardylab.norms import _closed_form, _ProductIntegrand
+
+        pi = _ProductIntegrand(1.0, (((PowerLogAtom(coef, a),), p),))
+        with pytest.raises(NotConverged, match="integrand overflows") as exc:
+            _closed_form(pi, lo, hi)
+        assert lo < float(str(exc.value).split("near x=")[1]) <= hi
+
+    def test_divergent_side_named(self):
+        from hardylab.funcmodel import PowerLogAtom
+        from hardylab.norms import _closed_form, _ProductIntegrand
+
+        # b = 1 + 2 * -0.5 = 0 on both unbounded pieces
+        pi = _ProductIntegrand(1.0, (((PowerLogAtom(1.0, -0.5),), 2.0),))
+        with pytest.raises(NormDiverges, match="diverges at zero"):
+            _closed_form(pi, 0.0, 1.0)
+        with pytest.raises(NormDiverges, match="diverges at infinity"):
+            _closed_form(pi, 1.0, INF)
+        value, err = _closed_form(pi, 0.5, 8.0)  # ln 16 on a bounded piece
+        assert abs(value - math.log(16.0)) <= err
+
+    def test_criterion_1_function_111(self, monkeypatch):
+        """The quadrature's ||H*f||_2 of FuzzConfig(seed=50111), whose piece
+        585.36 - 584.14 x**0.00369 cancels about 2.8 digits, lies within
+        its err of a 40-digit integral of the stored atoms."""
+        mpmath = pytest.importorskip("mpmath")
+
+        monkeypatch.setattr(mpmath.mp, "dps", 40)
+        g = dual_hardy(fuzz_generate(FuzzConfig(seed=50111)))
+        res = lp_norm(g, 2.0, 1e-11)
+        total = mpmath.mpf(0)
+        for atoms, lo, hi in zip(g.pieces, g.breakpoints, g.breakpoints[1:]):
+            if atoms:
+                h = lambda x, atoms=atoms: sum(mpmath.mpf(a.coef) * x ** mpmath.mpf(a.exponent)
+                                               for a in atoms) ** 2
+                pts = [0, hi * 1e-30, hi * 1e-10, hi * 1e-3, hi] if lo == 0.0 else [lo, hi]
+                total += mpmath.quad(h, [mpmath.mpf(t) for t in pts])
+        assert abs(res.value - mpmath.sqrt(total)) <= res.err
+
+
+@st.composite
+def _closed_cases(draw):
+    """(p, coef, exponent, lo, hi) of an integrable |c x**a|**p whose values
+    stay well inside the doubles: b = a p + 1 near 0 or not, pieces at 0, at
+    infinity, narrow or up to 300 decades wide, coefficients up to 1e+-150."""
+    where = draw(st.sampled_from(["zero", "inf", "bounded"]))
+    b = draw(st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 4.0)))
+    if where == "inf" or (where == "bounded" and draw(st.booleans())):
+        b = -b
+    if where == "zero":
+        lo, hi = 0.0, 10.0 ** draw(st.floats(-20.0, 20.0))
+    elif where == "inf":
+        lo, hi = 10.0 ** draw(st.floats(-20.0, 20.0)), INF
+    else:
+        decades = draw(st.one_of(st.floats(1e-9, 1.0), st.floats(1.0, 300.0)))
+        lo = 10.0 ** draw(st.floats(-150.0, 150.0 - decades))
+        hi = lo * 10.0 ** decades
+        assume(lo < hi < INF)
+    log10_c = draw(st.one_of(st.sampled_from([-150.0, 150.0]), st.floats(-150.0, 150.0)))
+    p = draw(st.floats(1.05, min(6.0, max(1.06, 600.0 / max(1.0, abs(log10_c) * math.log(10))))))
+    a = (b - 1.0) / p
+    # the integrand, per unit x and per unit ln x, stays normal at the
+    # piece's finite ends, where the quadrature evaluates it too: subnormal
+    # values lose digits and ones below 5e-324 are 0
+    for x in {lo, hi} - {0.0, INF}:
+        for slope in (a * p, a * p + 1.0):
+            assume(abs(p * log10_c * math.log(10) + slope * math.log(x)) < 600.0)
+    return p, 10.0 ** log10_c, a, lo, hi
+
+
+class TestClosedFormProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_closed_cases())
+    def test_agrees_with_quadrature(self, case):
+        from hardylab.funcmodel import PowerLogAtom
+        from hardylab.norms import _integrate, _ProductIntegrand
+
+        p, c, a, lo, hi = case
+        closed = _ProductIntegrand(1.0, (((PowerLogAtom(c, a),), p),))
+        # two half atoms: the same integrand, which the quadrature must take
+        halves = _ProductIntegrand(1.0, (((PowerLogAtom(c / 2, a), PowerLogAtom(c / 2, a)), p),))
+        (v1, e1), = _integrate([[(closed, lo, hi)]], INF)
+        assert 0.0 <= e1 < v1
+        (quad,) = _integrate([[(halves, lo, hi)]], 1e-9 * v1)
+        if isinstance(quad, NotConverged):
+            v2, e2 = quad.partial.value, quad.partial.err
+        else:
+            v2, e2 = quad
+        assert abs(v1 - v2) <= e1 + e2
