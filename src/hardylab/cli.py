@@ -45,7 +45,7 @@ from .extremal import (
     sweep_to_csv,
 )
 from .funcmodel import PiecewiseFn, make_piecewise
-from .norms import check_exponent, check_tol, lp_norm
+from .norms import DEFAULT_TOL, check_exponent, check_tol, lp_norm
 from .operators import dual_hardy, hardy, hardy_minus_identity
 from .verify import (
     P_GRID,
@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, function=True):
         if function:
             add_function(sp)
-        sp.add_argument("--tol", type=float, default=1e-9,
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="absolute tolerance on the p-th power of norms")
 
     sp = sub.add_parser("norm", help="Lp norm of a function")

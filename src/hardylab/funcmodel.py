@@ -133,7 +133,8 @@ def atoms_value(atoms, x: float) -> float:
 class PiecewiseFn:
     """A validated piecewise power-log function on (0, inf).
 
-    No sign certificate is kept; verify checks the f it is given.
+    Both fields are tuples, so a PiecewiseFn hashes and verify can cache by
+    value.  No sign certificate is kept; verify checks the f it is given.
     """
 
     breakpoints: tuple[float, ...]

@@ -253,13 +253,10 @@ def _compile(pis):
             if has_logs:
                 m = m + logp * np.maximum(np.log(np.abs(lx3)), -1e300)
                 sign = np.where(lx3 < 0.0, sign_neg, sign)
-            if n_a == 1:
-                flog = m[0]
-            else:
-                best = m.max(axis=0)
-                mags = np.exp(m - best)
-                s = np.abs((sign * mags).sum(axis=0))
-                flog = best + np.log(s)
+            best = m.max(axis=0)
+            mags = np.exp(m - best)
+            s = np.abs((sign * mags).sum(axis=0))
+            flog = best + np.log(s)
             for j in range(n_f):
                 log_h = log_h + c[4 + j] * flog[..., j]
             log_h[log_h <= -745.0] = -np.inf

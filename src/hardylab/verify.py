@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import DegenerateInput
 from .funcmodel import PiecewiseFn, _certify_nonneg
@@ -119,54 +120,50 @@ def _verdict(slack: float, budget: float, floor: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def _side(slack: float, bound: float, ratio: float, ratio_err: float) -> tuple[Verdict, float]:
+    """(verdict, budget) of one side, slack its distance inside ``bound``."""
+    budget = ratio_err + abs(bound) * 1e-12
+    floor = abs(bound) * 1e-12 + 4e-16 * max(1.0, ratio)
+    return _verdict(slack, budget, floor), budget
+
+
 def _report(num: QuadResult, den: QuadResult, bounds: Constants) -> VerificationReport:
     ratio, ratio_err = _ratio_with_err(num, den)
-    budget_l = ratio_err + abs(bounds.lower) * 1e-12
-    budget_u = ratio_err + abs(bounds.upper) * 1e-12
-    floor_l = abs(bounds.lower) * 1e-12 + 4e-16 * max(1.0, ratio)
-    floor_u = abs(bounds.upper) * 1e-12 + 4e-16 * max(1.0, ratio)
-    return VerificationReport(
-        ratio=ratio,
-        ratio_err=ratio_err,
-        bounds=bounds,
-        verdict_lower=_verdict(ratio - bounds.lower, budget_l, floor_l),
-        verdict_upper=_verdict(bounds.upper - ratio, budget_u, floor_u),
-        error_budget=max(budget_l, budget_u),
-    )
+    verdict_l, budget_l = _side(ratio - bounds.lower, bounds.lower, ratio, ratio_err)
+    verdict_u, budget_u = _side(bounds.upper - ratio, bounds.upper, ratio, ratio_err)
+    return VerificationReport(ratio=ratio, ratio_err=ratio_err, bounds=bounds,
+                              verdict_lower=verdict_l, verdict_upper=verdict_u,
+                              error_budget=max(budget_l, budget_u))
 
 
-#: The last f verified, compared by value, and what was built from it: Hf,
-#: H*f once some p has passed Hf's divergence test, and the last norm pair
-#: under its (p, tol).  Holding f means f was certified nonnegative.
-_memo: dict = {}
+@lru_cache(maxsize=1)
+def _certified_hardy(f: PiecewiseFn) -> PiecewiseFn:
+    """Hf of a certified f: NegativityDetected if f is signed, DegenerateInput
+    if it has no atoms (a.e. zero)."""
+    if not any(f.pieces):
+        raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
+    _certify_nonneg(f)
+    return hardy(f)
 
 
+@lru_cache(maxsize=1)
+def _dual(f: PiecewiseFn) -> PiecewiseFn:
+    return dual_hardy(f)
+
+
+@lru_cache(maxsize=1)
 def _norm_pair(f: PiecewiseFn, p: float, tol: float) -> tuple[QuadResult, QuadResult]:
     """(||H*f||_p, ||Hf||_p), the numerator and denominator of both verdicts.
 
-    Each f not in ``_memo`` is certified first, so a signed input raises
-    NegativityDetected instead of getting a verdict; an f without atoms (a.e.
-    zero) raises DegenerateInput.  Hf is tested for divergence before H*f is built.
-    ``_memo`` keeps one f, so a run of p values on it certifies f and builds
-    each operator once, and verify_theorem1 and verify_crude called back to
-    back on equal arguments share one pair; a raised error is not kept.
+    Hf is tested for divergence before H*f is built.  Each cache keeps its
+    last arguments, compared by value, and no error: a run of p values on
+    one f certifies f and builds each operator once, and verify_theorem1 and
+    verify_crude on equal arguments share one pair.
     """
-    global _memo
-    if not any(f.pieces):
-        raise DegenerateInput("f is a.e. zero; the norm ratio is undefined")
-    memo = _memo
-    if memo.get("f") != f:
-        _certify_nonneg(f)
-        memo = _memo = {"f": f, "hf": hardy(f)}
-    at, pair = memo.get("pair", (None, None))
-    if at != (p, tol):
-        check_lp_defined(memo["hf"], p)
-        if "dual" not in memo:
-            memo["dual"] = dual_hardy(f)
-        den, num = map(unwrap, lp_norms([memo["hf"], memo["dual"]], p, tol))
-        pair = num, den
-        memo["pair"] = (p, tol), pair
-    return pair
+    hf = _certified_hardy(f)
+    check_lp_defined(hf, p)
+    den, num = map(unwrap, lp_norms([hf, _dual(f)], p, tol))
+    return num, den
 
 
 def verify_theorem1(f: PiecewiseFn, p: float,

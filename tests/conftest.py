@@ -3,15 +3,23 @@ import pytest
 from hardylab import funcmodel, norms, verify
 
 
-@pytest.fixture(autouse=True)
-def empty_verify_memo():
-    """Empties verify._memo, the one f kept with its Hf, H*f and last norm
-    pair, before every test.
+def clear_verify_caches():
+    """Empties verify's three caches: the last f certified with its Hf, the
+    last f with its H*f, and the last (f, p, tol) with its pair of norms."""
+    for cached in (verify._certified_hardy, verify._dual, verify._norm_pair):
+        cached.cache_clear()
 
-    Without it, a test that patches verify.lp_norms, hardy or dual_hardy
-    could be served an operator or a pair that an earlier test computed.
+
+@pytest.fixture(autouse=True)
+def empty_verify_caches():
+    """Empties verify's caches before every test.
+
+    Each keeps its last arguments, compared by value; their cache_info()
+    counts the hits and misses.  Without this, a test that patches
+    verify.lp_norms, hardy or dual_hardy could be served an operator or a
+    pair that an earlier test computed.
     """
-    verify._memo.clear()
+    clear_verify_caches()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import clear_verify_caches
 from hardylab.cli import FuzzConfig, fuzz_generate, parse_function_spec
 from hardylab.errors import (
     BadExponent,
@@ -146,8 +147,8 @@ class TestNonnegCertificate:
 
 class TestNormPairMemo:
     """verify keeps one f: its Hf and H*f serve every p, and verify_theorem1
-    and verify_crude on equal (f, p, tol) share one pair of norms; the memo
-    keeps only the last pair, and no error."""
+    and verify_crude on equal (f, p, tol) share one pair of norms; the caches
+    keep only the last pair, and no error."""
 
     @pytest.fixture
     def operator_calls(self, monkeypatch):
@@ -223,13 +224,11 @@ class TestNormPairMemo:
         assert operator_calls == {"hardy": 1, "dual_hardy": 1}
 
     def test_reports_equal_a_cleared_memo(self):
-        import hardylab.verify as verify
-
         f = fuzz_generate(FuzzConfig(seed=23))
         kept = [(verify_theorem1(f, p), verify_crude(f, p)) for p in P_GRID]
         fresh = []
         for p in P_GRID:
-            verify._memo.clear()
+            clear_verify_caches()
             fresh.append((verify_theorem1(f, p), verify_crude(f, p)))
         assert kept == fresh
 
@@ -241,14 +240,12 @@ class TestNormPairMemo:
         assert operator_calls["dual_hardy"] == 0
 
     def test_divergence_at_one_p_kept_from_the_next(self):
-        import hardylab.verify as verify
-
         # Hf ~ x^-0.3 at infinity: divergent at p = 2, finite at p = 4
         f = parse_function_spec("chi(0,1) + pow(-0.3,1,inf)")
         with pytest.raises(NormDiverges):
             verify_theorem1(f, 2.0)
         after = verify_theorem1(f, 4.0)
-        verify._memo.clear()
+        clear_verify_caches()
         assert verify_theorem1(f, 4.0) == after
 
     def test_threads_racing_on_the_memo_get_their_own_reports(self):
@@ -360,6 +357,19 @@ class TestStabilityAndSerialization:
                      (coarse.verdict_upper, fine.verdict_upper)):
             if a is Verdict.HOLDS:
                 assert b is not Verdict.VIOLATED
+
+    @pytest.mark.parametrize("k", [0, 12, 20, 50, 100, 300])
+    def test_scaling_the_support_never_violates(self, k):
+        # The ratio of chi(0, 10^-k] is that of chi(0,1] at every k; past
+        # k = 12 the absolute tol may leave it Inconclusive, never Violated.
+        f = make_piecewise([0, 10.0 ** -k, INF], [[(1, 0, 0)], []])
+        for p in P_GRID:
+            for check in (verify_theorem1, verify_crude):
+                rep = check(f, p)
+                sides = (rep.verdict_lower, rep.verdict_upper)
+                assert Verdict.VIOLATED not in sides
+                if k <= 12:
+                    assert sides == (Verdict.HOLDS, Verdict.HOLDS)
 
     def test_report_serialization_schema(self):
         rep = verify_theorem1(chi01(), 3.0)
