@@ -8,15 +8,23 @@ phi(+inf) = 0, the density f(u) = u * |phi'(u)| satisfies
 which transports the sharp two-sided inequalities between the two settings.
 This module implements the transform in both directions, the sliding-window
 mollifier that turns a stepped phi into an admissible continuous one from
-below, and a combined numeric check of both identities.
+below, and a check of both identities.
+
+The check is algebra, not sampling.  All four sides are power-log
+functions, so on each piece of the merged partition the atoms of one side
+are matched against those of the other: grouped by log power, with
+exponents that differ only by the operators' rounding of (a - 1) + 1 taken as
+equal.  Each group's relative coefficient residue, plus its exponent spread
+times the largest |ln x| on the piece, bounds |lhs(x) - rhs(x)| over the
+sum of the |atom values| at x, at every x of the piece.  So a pass holds on
+all of (0, inf), however narrow a piece or large a breakpoint.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     EquivalenceViolated,
@@ -153,24 +161,6 @@ def mollify(phi: PiecewiseFn, n: int) -> PiecewiseFn:
     return PiecewiseFn(new_bps, tuple(pieces))
 
 
-def sample_grid(phi: PiecewiseFn, n: int = 64) -> np.ndarray:
-    """Log-spaced identity-check grid spanning the breakpoints, off-breakpoint.
-
-    Spans [smallest positive breakpoint / 10, 10 * largest finite breakpoint]
-    and nudges any collision with a breakpoint, so the measure-zero piece
-    convention never enters the comparison.  NotRepresentable if an end of
-    that span falls outside the positive doubles.
-    """
-    finite = [b for b in phi.breakpoints if math.isfinite(b) and b > 0.0]
-    lo = min(finite) / 10.0 if finite else 0.1
-    hi = max(finite) * 10.0 if finite else 10.0
-    if lo == 0.0 or math.isinf(hi):
-        raise NotRepresentable(f"the sample span [{lo!r}, {hi!r}] of the identity "
-                               "check leaves the double range")
-    pts = np.geomspace(lo, hi, n)
-    return np.where(np.isin(pts, phi.breakpoints), pts * 1.0000001, pts)
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     max_gap_difference_identity: float
@@ -186,73 +176,78 @@ class EquivalenceReport:
             "max_pointwise_gap_monot1": self.max_gap_difference_identity,
             "max_pointwise_gap_monot2": self.max_gap_dual_identity,
             "norm_gaps": [self.norm_gap_difference, self.norm_gap_phi],
+            "norm_budgets": [self.norm_budget_difference, self.norm_budget_phi],
             "verdict": self.verdict,
         }
 
 
-def _atom_values(fns, xs: np.ndarray) -> np.ndarray:
-    """value_at(x) of each atom of the piece of x, for every function of fns
-    and every x of the increasing grid xs: an array (len(fns), len(xs),
-    width) holding a piece's atoms in order, padded with 0.0."""
-    xl = xs.tolist()
-    width = max(len(atoms) for fn in fns for atoms in fn.pieces)
-    v = np.zeros((len(fns), len(xl), width))
-    for f, fn in enumerate(fns):
-        # piece i holds the x in (b_i, b_(i+1)], as piece_index assigns them
-        cuts = np.searchsorted(xs, fn.breakpoints, side="right").tolist()
-        for i, atoms in enumerate(fn.pieces):
-            s, e = cuts[i], cuts[i + 1]
-            for j, at in enumerate(atoms):
-                v[f, s:e, j] = [at.value_at(x) for x in xl[s:e]]
-    return v
+#: Unit roundoff of a double.
+_U = sys.float_info.epsilon / 2
+
+#: |ln x| at an open end of a piece: every positive double lies in (e^-745, e^710).
+_LN_OPEN_END = 745.0
 
 
-def _column_sum(v: np.ndarray) -> np.ndarray:
-    """v summed over its last axis left to right, as atoms_value adds."""
-    out = np.zeros(v.shape[:-1])
-    with np.errstate(all="ignore"):
-        for j in range(v.shape[-1]):
-            out += v[..., j]
-    return out
+def _identity_gap(g: PiecewiseFn, h: PiecewiseFn) -> tuple[float, float, float]:
+    """(gap, lo, hi): how far g = h is from holding, on the worst piece
+    (lo, hi] of the merged partition; (0.0, nan, nan) if it holds exactly.
 
+    On a piece, g's atoms and h's negated atoms are grouped by log power k;
+    sorted exponents within 8u(1 + |a0|) of the first exponent a0 of their
+    group join it (u the unit roundoff).  A group with signed coefficient sum
+    s, magnitude sum m and exponent spread d has the gap |s|/m + d*L, where L
+    is the largest |ln x| on the piece (745 at an open end).  Write each atom
+    as c * x**a0 * e**((a - a0) ln x) * ln(x)**k with |(a - a0) ln x| <= d*L:
+    at every x of the piece, |the group's sum| / (the sum of its |atom
+    values|) is at most the gap, up to a term of order d*L times the gap.
+    |g(x) - h(x)| / (the sum of |atom values| of both sides at x) is a ratio
+    of sums over the groups, so the largest group gap bounds it too.  That
+    ratio is the scale against which collect_atoms judges rounding, so a gap
+    within tol certifies the identity on all of (0, inf).
 
-def _identity_gaps(pairs, xs: np.ndarray, tol: float) -> list[tuple[float, float]]:
-    """For each pair (g, h), (largest relative gap of g and h over xs, its
-    first x), or (0.0, nan).
-
-    A gap over tol is judged again against the rounding scale, the sum of
-    |atom values| of both sides at x (the rule of collect_atoms): next to a
-    root of an expanded polynomial max(|g(x)|, |h(x)|) vanishes while the
-    rounding of its atoms does not.  A point where that max is below 1e-290
-    has gap 0, and a NaN gap is passed over.  Each gap is the one a point
-    by point loop over evaluate gives.
+    The exponent tolerance takes in the operators' rounding: they shift an
+    exponent by (a - 1) + 1 or (a + 1) - 1, each step rounding by at most
+    about u(1 + |a|).  A side of check_equivalence's identities goes through
+    at most four such steps, so x**a and its image may differ in the last
+    bits of a.
     """
-    v = _atom_values([fn for pair in pairs for fn in pair], xs)
-    g, h = _column_sum(v[0::2]), _column_sum(v[1::2])
-    mag = _column_sum(np.abs(np.concatenate([v[0::2], v[1::2]], axis=-1)))
-    with np.errstate(all="ignore"):
-        a, b = np.abs(g), np.abs(h)
-        scale = np.where(b > a, b, a)  # Python's max(a, b): a NaN a is kept
-        diff = np.abs(g - h)
-        gap = diff / scale
-        gap = np.where(gap > tol, diff / mag, gap)
-    gap = np.where((scale < 1e-290) | ~(gap > 0.0), 0.0, gap)
-    worst = gap.argmax(axis=1)  # the first of the largest
-    return [(row[i], xs[i]) if row[i] > 0.0 else (0.0, math.nan)
-            for row, i in zip(gap, worst.tolist())]
+    worst = (0.0, math.nan, math.nan)
+    bps = sorted(set(g.breakpoints) | set(h.breakpoints))
+    for lo, hi in zip(bps, bps[1:]):
+        ln_max = max(abs(math.log(b)) if 0.0 < b < math.inf else _LN_OPEN_END
+                     for b in (lo, hi))
+        terms = sorted([(a.log_power, a.exponent, a.coef)
+                        for a in g.pieces[piece_index(g, hi)]]
+                       + [(a.log_power, a.exponent, -a.coef)
+                          for a in h.pieces[piece_index(h, hi)]])
+        groups = []  # [k, first exponent, signed sum, magnitude sum, last exponent]
+        for k, a, c in terms:
+            grp = groups[-1] if groups else None
+            if grp and grp[0] == k and a - grp[1] <= 8 * _U * (1 + abs(grp[1])):
+                grp[2:] = grp[2] + c, grp[3] + abs(c), a
+            else:
+                groups.append([k, a, c, abs(c), a])
+        for _, a0, s, m, a1 in groups:
+            gap = (abs(s) / m if m else 0.0) + (a1 - a0) * ln_max
+            if gap > worst[0]:
+                worst = (gap, lo, hi)
+    return worst
 
 
 def check_equivalence(phi: PiecewiseFn, p: float,
-                      tol: float = 1e-8) -> EquivalenceReport:
-    """Verify both transport identities for one phi, pointwise and in norm.
+                      tol: float = DEFAULT_TOL) -> EquivalenceReport:
+    """Verify both transport identities for one phi, on (0, inf) and in norm.
 
-    Checks, at the 64 points of sample_grid, that H(phi)-phi agrees with Hf
-    and that H*f reproduces phi for f = phi_to_f(phi); then that the
-    corresponding norms agree within their combined quadrature errors.  A
-    failure raises EquivalenceViolated carrying the worst sample point: the
-    identities are exact, so a violation means an implementation bug, never
-    a property of the input.  ``tol`` bounds both pointwise gaps; a tenth of
-    min(tol, DEFAULT_TOL) is the quadrature budget of the norms.
+    For f = phi_to_f(phi), checks atom by atom that H(phi)-phi agrees with
+    Hf and that H*f reproduces phi on every piece (see _identity_gap: each
+    gap bounds |lhs(x) - rhs(x)| / (sum of |atom values| at x) at every x,
+    so no span of x is sampled and any breakpoint in the double range is
+    checked); then that the corresponding norms agree within their combined
+    quadrature errors.  A failure raises EquivalenceViolated carrying the
+    worst piece, with x its left end: the identities are exact, so a
+    violation means an implementation bug, never a property of the input.
+    ``tol`` bounds both identity gaps; a tenth of min(tol, DEFAULT_TOL) is
+    the quadrature budget of the norms.
     """
     check_exponent(p)
     check_tol(tol)
@@ -260,19 +255,18 @@ def check_equivalence(phi: PiecewiseFn, p: float,
     lhs_diff = subtract(hardy(phi), phi)  # phi_to_f certified phi nonincreasing
     rhs_diff = hardy(f)
     phi_back = f_to_phi(f)
-    (gap1, x1), (gap2, x2) = _identity_gaps(
-        [(lhs_diff, rhs_diff), (phi_back, phi)], sample_grid(phi), tol)
+    gap1, lo1, hi1 = _identity_gap(lhs_diff, rhs_diff)
+    gap2, lo2, hi2 = _identity_gap(phi_back, phi)
     quad_tol = min(tol, DEFAULT_TOL) * 0.1
     norms = list(map(unwrap, lp_norms([lhs_diff, rhs_diff, phi, phi_back], p, quad_tol)))
     pairs = norms[:2], norms[2:]
     gaps = [abs(a.value - b.value) for a, b in pairs]
     budgets = [a.err + b.err + 1e-12 * max(a.value, b.value, 1.0) for a, b in pairs]
     for gap, limit, label, x in (
-            (gap1, tol, "difference identity", x1),
-            (gap2, tol, "dual identity", x2),
+            (gap1, tol, f"difference identity on ({lo1}, {hi1}]", lo1),
+            (gap2, tol, f"dual identity on ({lo2}, {hi2}]", lo2),
             (gaps[0], budgets[0], "norm transport ||H(phi)-phi|| vs ||Hf||", None),
             (gaps[1], budgets[1], "norm transport ||phi|| vs ||H*f||", None)):
         if gap > limit:
-            at = "" if x is None else f" at x={x}"
-            raise EquivalenceViolated(f"{label} off by {gap}{at}", x=x, gap=gap)
+            raise EquivalenceViolated(f"{label} off by {gap}", x=x, gap=gap)
     return EquivalenceReport(gap1, gap2, *gaps, *budgets, "pass")

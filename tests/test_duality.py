@@ -1,6 +1,5 @@
-import functools
+import inspect
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hardylab.duality import (
     has_jumps,
     mollify,
     phi_to_f,
-    sample_grid,
 )
 from hardylab.errors import (
     BadExponent,
@@ -26,6 +24,7 @@ from hardylab.errors import (
     NotRepresentable,
 )
 from hardylab.funcmodel import (
+    PiecewiseFn,
     PowerLogAtom,
     evaluate,
     is_nonincreasing,
@@ -33,7 +32,7 @@ from hardylab.funcmodel import (
     piece_index,
     scale,
 )
-from hardylab.norms import lp_norm
+from hardylab.norms import DEFAULT_TOL, lp_norm
 from hardylab.operators import hardy
 
 INF = math.inf
@@ -114,17 +113,13 @@ class TestFToPhi:
     def test_roundtrip_phi_first(self, seed):
         phi = fuzz_generate(FuzzConfig(seed=seed, monotone=True))
         back = f_to_phi(phi_to_f(phi))
-        for x in sample_grid(phi):
-            assert evaluate(back, x) == pytest.approx(
-                evaluate(phi, x), rel=1e-9, abs=1e-280)
+        assert duality._identity_gap(back, phi)[0] < 1e-9
 
     @pytest.mark.parametrize("seed", [6, 66])
     def test_roundtrip_f_first(self, seed):
         f = fuzz_generate(FuzzConfig(seed=seed))
         back = phi_to_f(f_to_phi(f))
-        for x in sample_grid(f):
-            assert evaluate(back, x) == pytest.approx(
-                evaluate(f, x), rel=1e-9, abs=1e-280)
+        assert duality._identity_gap(back, f)[0] < 1e-9
 
 
 class TestMollify:
@@ -228,45 +223,45 @@ class TestCheckEquivalence:
             assert exc.value.gap > 1e-7
 
     def test_report_schema(self):
-        d = check_equivalence(tent(), 2.0).to_dict()
+        rep = check_equivalence(tent(), 2.0)
+        d = rep.to_dict()
         assert set(d) == {"max_pointwise_gap_monot1", "max_pointwise_gap_monot2",
-                          "norm_gaps", "verdict"}
+                          "norm_gaps", "norm_budgets", "verdict"}
+        assert d["norm_budgets"] == [rep.norm_budget_difference, rep.norm_budget_phi]
 
+    def test_narrow_piece_defect_raises(self, monkeypatch):
+        # a 1e-6 relative defect on (1, 1 + 1e-6] holds no point of a
+        # log-spaced sample grid, and its norm gap hides in the budget; the
+        # atoms of that piece show it
+        phi = make_piecewise([0, 1, 1 + 1e-6, 2, INF],
+                             [[(2, 0, 0), (-1, 1, 0)]] * 3 + [[]])
+        assert check_equivalence(phi, 2.0).verdict == "pass"
+        real = duality.f_to_phi
+        monkeypatch.setattr(duality, "f_to_phi",
+                            lambda f: perturbed(real(f), 1e-6, pieces={1}))
+        with pytest.raises(EquivalenceViolated, match=r"dual identity on \(1.0, ") as exc:
+            check_equivalence(phi, 2.0)
+        assert exc.value.gap > 1e-7
+        assert exc.value.x == 1.0
 
-def point_gap(g, h, x, tol):
-    """The relative gap of g and h at one x, by evaluate: the reference that
-    duality._identity_gaps must reproduce exactly.
+    def test_exponent_rounding_passes(self):
+        # H*f's tail exponent is (-1.3) + 1 != -0.3: exact keys would not
+        # match it to phi's
+        phi = pow_tail()
+        assert f_to_phi(phi_to_f(phi)).pieces[1][0].exponent != -0.3
+        rep = check_equivalence(phi, 4.0)
+        assert 0.0 < rep.max_gap_dual_identity < 1e-10
+        assert rep.max_gap_difference_identity < 1e-10
 
-    A gap over tol is judged again against the sum of |atom values| of both
-    sides at x; a max(|g(x)|, |h(x)|) below 1e-290 reads 0.
-    """
-    a, b = evaluate(g, x), evaluate(h, x)
-    scale_ = max(abs(a), abs(b))
-    if scale_ < 1e-290:
-        return 0.0
-    gap = abs(a - b) / scale_
-    if gap > tol:  # magnitudes added left to right, as _column_sum adds them
-        gap = abs(a - b) / functools.reduce(operator.add, (
-            abs(at.value_at(x)) for k in (g, h) for at in k.pieces[piece_index(k, x)]), 0.0)
-    return gap
+    def test_fuzz_monotone_gaps(self):
+        for seed in range(50):
+            rep = check_equivalence(fuzz_generate(FuzzConfig(seed=seed, monotone=True)), 2.0)
+            assert rep.max_gap_difference_identity < 1e-10
+            assert rep.max_gap_dual_identity < 1e-10
 
-
-def reference_gap(g, h, xs, tol):
-    """(largest point_gap over xs, its first x), or (0.0, nan); a NaN gap
-    is passed over, as g > gap is false for it."""
-    gap, worst = 0.0, math.nan
-    with np.errstate(all="ignore"):
-        for x in xs:
-            g_x = point_gap(g, h, x, tol)
-            if g_x > gap:
-                gap, worst = g_x, x
-    return gap, worst
-
-
-def assert_gap_matches_reference(g, h, xs, tol):
-    [got] = duality._identity_gaps([(g, h)], xs, tol)
-    assert repr(got) == repr(reference_gap(g, h, xs, tol))
-    return got
+    def test_default_tol_is_the_cli_default(self):
+        default = inspect.signature(check_equivalence).parameters["tol"].default
+        assert default == DEFAULT_TOL == 1e-9
 
 
 def mollified_steps():
@@ -278,6 +273,25 @@ def log_phi():
     """-ln x on (0, 1], 0 beyond: continuous, with log atoms in phi and in
     H*f for its density f = 1 on (0, 1]."""
     return make_piecewise([0, 1, INF], [[(-1, 0, 1)], []])
+
+
+def pow_tail():
+    """1 on (0, 1], x**-0.3 beyond: H*f's tail exponent is (-1.3) + 1, which
+    is not -0.3 in doubles."""
+    return make_piecewise([0, 1, INF], [[(1, 0, 0)], [(1, -0.3, 0)]])
+
+
+def perturbed(g, rel=0.0, ulps=0, pieces=None):
+    """g with the coefficients of the given pieces (all by default) times
+    1 + rel and their exponents moved up by ulps units in the last place."""
+    def atom(at):
+        a = at.exponent
+        for _ in range(ulps):
+            a = math.nextafter(a, INF)
+        return PowerLogAtom(at.coef * (1.0 + rel), a, at.log_power)
+    return PiecewiseFn(g.breakpoints, tuple(
+        tuple(map(atom, atoms)) if pieces is None or i in pieces else atoms
+        for i, atoms in enumerate(g.pieces)))
 
 
 _COEFS = st.one_of(
@@ -300,83 +314,67 @@ def piecewise_fns(draw):
     return make_piecewise(bps, [draw(_ATOMS) for _ in bps[1:]])
 
 
-#: Points at which numpy's SIMD log differs from math.log in the last bit on
-#: an AVX-512 machine; elsewhere they are ordinary points.
-LOG_ULP_POINTS = [0.433748640123047, 0.5506272407425834, 0.8943116861684923,
-                  0.9102321352797248, 0.9858826232559946, 1.1274698165540602,
-                  1.212028229878076, 1.8653032823246631]
-
-
-def assert_atom_values_are_value_at(fns, xs):
-    v = duality._atom_values(fns, xs)
-    with np.errstate(all="ignore"):
-        for fn, rows in zip(fns, v):
-            for x, row in zip(xs, rows):
-                atoms = fn.pieces[piece_index(fn, x)]
-                want = [float(at.value_at(x)) for at in atoms]
-                assert repr(row.tolist()) == repr(want + [0.0] * (len(row) - len(want)))
+def atom_values(fn, x):
+    return [at.value_at(x) for at in fn.pieces[piece_index(fn, x)]]
 
 
 class TestIdentityGap:
-    """duality._identity_gaps against the point loop it replaced."""
-
-    def test_atom_values_are_value_at(self):
-        logs = make_piecewise([0, 1, 3, INF], [
-            [(-1, 0, 1), (2, 0.5, 2)],
-            [(1.5, -0.5, 1), (1, 3, 0)],
-            [(1, 400, 0), (-2, -1.5, 1)],  # x**400 overflows past x ~ 5.9
-        ])
-        xs = np.array(sorted(LOG_ULP_POINTS + [2.0, 5.0, 10.0, 20.0]))
-        assert_atom_values_are_value_at([logs, log_phi(), tent()], xs)
+    """duality._identity_gap: a bound on the relative gap at every x."""
 
     @pytest.mark.parametrize("build", [
         tent, double_root_phi, mollified_steps, log_phi,
         lambda: fuzz_generate(FuzzConfig(seed=4, monotone=True)),
     ], ids=["tent", "double-root", "mollified-steps", "log-atoms", "fuzz"])
-    @pytest.mark.parametrize("tol", [1e-9, 0.0])
-    def test_both_identities(self, build, tol):
+    @pytest.mark.parametrize("rel", [1e-9, 0.0])
+    def test_both_identities(self, build, rel):
+        # both identities hold to rounding; a defect of rel planted in phi
+        # reads as rel / (2 + rel), the gap of its atoms against phi_back's
         phi = build()
         f = phi_to_f(phi)
-        xs = sample_grid(phi)
-        assert_gap_matches_reference(
-            funcmodel.subtract(hardy(phi), phi), hardy(f), xs, tol)
-        assert_gap_matches_reference(f_to_phi(f), phi, xs, tol)
+        gap1, _, _ = duality._identity_gap(
+            funcmodel.subtract(hardy(phi), phi), hardy(f))
+        assert gap1 < 1e-10
+        gap2, _, _ = duality._identity_gap(f_to_phi(f), perturbed(phi, rel))
+        assert rel / 2.1 - 1e-10 <= gap2 < rel / 2 + 1e-10
 
     def test_double_root_recheck(self):
-        # past tol the plain gap divides by |phi| ~ 0 next to the root; the
-        # recheck against the atoms' magnitudes must be the same as well
+        # next to the double root both sides vanish but no value is divided
+        # by: the defect is read from the atoms, on the piece that holds it
         phi = double_root_phi()
-        back = scale(f_to_phi(phi_to_f(phi)), 1.0 + 1e-6)
-        gap, _ = assert_gap_matches_reference(back, phi, sample_grid(phi), 1e-9)
+        back = perturbed(f_to_phi(phi_to_f(phi)), 1e-6, pieces={2})
+        gap, lo, hi = duality._identity_gap(back, phi)
         assert gap > 1e-7
+        assert (lo, hi) == tuple(DOUBLE_ROOT_BREAKS[2:4])
 
-    def test_scale_below_floor_reads_zero(self):
-        g = make_piecewise([0, 1, INF], [[(1e-295, 0, 0)], [(1, -1, 0)]])
-        h = make_piecewise([0, 1, INF], [[(3e-295, 0, 0)], [(1, -1, 0)]])
-        assert assert_gap_matches_reference(g, h, sample_grid(g), 1e-9) == (0.0, math.nan)
-
-    def test_nan_gap_passed_over(self):
-        # x**400 overflows past x ~ 5.9: inf - inf is a NaN gap there, which
-        # np.argmax would pick; the loop skips it for the finite gap at 0.5
-        g = make_piecewise([0, 1, INF], [[(1, 0, 0)], [(1, 400, 0)]])
-        h = make_piecewise([0, 1, INF], [[(1.5, 0, 0)], [(1, 400, 0)]])
-        xs = np.array([0.5, 10.0, 20.0])
-        gap, x = assert_gap_matches_reference(h, g, xs, 1e-9)
-        assert x == 0.5 and gap == 0.5 / 2.5  # rechecked: over tol
-        assert assert_gap_matches_reference(g, g, xs[1:], 1e-9) == (0.0, math.nan)
+    def test_exponent_rounding_grouped(self):
+        # exponents a few ulps apart are one group: its gap is the spread
+        # times the largest |ln x| of the piece, 745 on (1, inf)
+        phi = pow_tail()
+        nudged = perturbed(phi, ulps=2)
+        gap, lo, hi = duality._identity_gap(nudged, phi)
+        spread = nudged.pieces[1][0].exponent - phi.pieces[1][0].exponent
+        assert (gap, lo, hi) == (spread * 745.0, 1.0, INF)
+        # at 40 ulps the exponents are too far apart to be one group
+        assert duality._identity_gap(perturbed(phi, ulps=40), phi)[0] == 1.0
 
     @given(g=piecewise_fns(), h=piecewise_fns(),
            rel=st.sampled_from([None, 0.0, 1e-15, 1e-10]),
-           wide=st.booleans(), tol=st.sampled_from([1e-9, 1e-12, 1e-3]))
+           ulps=st.integers(0, 4))
     @settings(max_examples=200, deadline=None)
-    def test_matches_point_loop(self, g, h, rel, wide, tol):
-        # rel None compares two unrelated functions; otherwise h is g scaled
-        # by 1 + rel, a near miss that exercises the recheck
+    def test_bounds_point_loop(self, g, h, rel, ulps):
+        # rel None compares two unrelated functions; otherwise h is g with
+        # coefficients scaled by 1 + rel and exponents moved by ulps.  At
+        # every point where the atom values are finite and not all tiny,
+        # |g - h| over the sum of |atom values| stays within the certified
+        # gap, up to the rounding of the values themselves
         if rel is not None:
-            h = scale(g, 1.0 + rel)
-        xs = np.geomspace(1e-8, 1e8, 64) if wide else sample_grid(g)
-        assert_gap_matches_reference(g, h, xs, tol)
-        assert_atom_values_are_value_at([g, h], xs)
+            h = perturbed(g, rel, ulps)
+        gap, _, _ = duality._identity_gap(g, h)
+        for x in np.geomspace(1e-8, 1e8, 64).tolist():
+            vg, vh = atom_values(g, x), atom_values(h, x)
+            mag = sum(map(abs, vg + vh))
+            if 1e-280 < mag < INF:
+                assert abs(sum(vg) - sum(vh)) / mag <= gap + 1e-14
 
 
 #: PowerLogAtoms that check_equivalence builds for double_root_phi(), in
