@@ -14,10 +14,10 @@ The check is algebra, not sampling.  All four sides are power-log
 functions, so on each piece of the merged partition the atoms of one side
 are matched against those of the other: grouped by log power, with
 exponents that differ only by the operators' rounding of (a - 1) + 1 taken as
-equal.  Each group's relative coefficient residue, plus its exponent spread
-times the largest |ln x| on the piece, bounds |lhs(x) - rhs(x)| over the
-sum of the |atom values| at x, at every x of the piece.  So a pass holds on
-all of (0, inf), however narrow a piece or large a breakpoint.
+equal.  The groups' coefficient residues and exponent spreads, against the
+size of all atoms on the piece, bound |lhs(x) - rhs(x)| over the sum of the
+|atom values| at x, at every x of the piece.  So a pass holds on all of
+(0, inf), however narrow a piece or large a breakpoint.
 """
 
 from __future__ import annotations
@@ -195,27 +195,27 @@ def _identity_gap(g: PiecewiseFn, h: PiecewiseFn) -> tuple[float, float, float]:
     On a piece, g's atoms and h's negated atoms are grouped by log power k;
     sorted exponents within 8u(1 + |a0|) of the first exponent a0 of their
     group join it (u the unit roundoff).  A group with signed coefficient sum
-    s, magnitude sum m and exponent spread d has the gap |s|/m + d*L, where L
-    is the largest |ln x| on the piece (745 at an open end).  Write each atom
-    as c * x**a0 * e**((a - a0) ln x) * ln(x)**k with |(a - a0) ln x| <= d*L:
-    at every x of the piece, |the group's sum| / (the sum of its |atom
-    values|) is at most the gap, up to a term of order d*L times the gap.
-    |g(x) - h(x)| / (the sum of |atom values| of both sides at x) is a ratio
-    of sums over the groups, so the largest group gap bounds it too.  That
-    ratio is the scale against which collect_atoms judges rounding, so a gap
-    within tol certifies the identity on all of (0, inf).
+    s, magnitude sum m and exponent spread d sums to at most r = |s| + m*d*L
+    times x**a0 |ln x|**k at every x of the piece, to first order, where L is
+    the largest |ln x| there (745 at an open end).  Over the sum of |atom
+    values| of both sides at x, the scale at which collect_atoms judges
+    rounding, |g(x) - h(x)| is then at most the largest r/m (a ratio of sums
+    over the groups), and at most the sum of the r/M, where M sums m_b *
+    x**(b - a0) over the groups of power k, each at the end of the piece that
+    makes it smaller.  The gap is the smaller bound: the second keeps a
+    rounded residue of a small coefficient small next to larger atoms.  So a
+    gap within tol certifies the identity on all of (0, inf).
 
-    The exponent tolerance takes in the operators' rounding: they shift an
-    exponent by (a - 1) + 1 or (a + 1) - 1, each step rounding by at most
-    about u(1 + |a|).  A side of check_equivalence's identities goes through
-    at most four such steps, so x**a and its image may differ in the last
-    bits of a.
+    The exponent tolerance takes in the operators' rounding: each side of
+    check_equivalence's identities shifts an exponent by (a - 1) + 1 or
+    (a + 1) - 1 at most four times, each rounding by about u(1 + |a|).
     """
     worst = (0.0, math.nan, math.nan)
     bps = sorted(set(g.breakpoints) | set(h.breakpoints))
     for lo, hi in zip(bps, bps[1:]):
-        ln_max = max(abs(math.log(b)) if 0.0 < b < math.inf else _LN_OPEN_END
-                     for b in (lo, hi))
+        ends = [math.log(b) if 0.0 < b < math.inf else math.copysign(_LN_OPEN_END, b - 1.0)
+                for b in (lo, hi)]
+        ln_max = max(map(abs, ends))
         terms = sorted([(a.log_power, a.exponent, a.coef)
                         for a in g.pieces[piece_index(g, hi)]]
                        + [(a.log_power, a.exponent, -a.coef)
@@ -227,10 +227,15 @@ def _identity_gap(g: PiecewiseFn, h: PiecewiseFn) -> tuple[float, float, float]:
                 grp[2:] = grp[2] + c, grp[3] + abs(c), a
             else:
                 groups.append([k, a, c, abs(c), a])
-        for _, a0, s, m, a1 in groups:
-            gap = (abs(s) / m if m else 0.0) + (a1 - a0) * ln_max
-            if gap > worst[0]:
-                worst = (gap, lo, hi)
+        own = total = 0.0
+        for k, a0, s, m, a1 in filter(lambda grp: grp[3], groups):
+            r = abs(s) + m * (a1 - a0) * ln_max
+            # capped below overflow: a smaller M only makes the bound larger
+            big_m = sum(mb * math.exp(min((b - a0) * ends[0], (b - a0) * ends[1], 700.0))
+                        for kb, b, _, mb, _ in groups if kb == k)
+            own, total = max(own, r / m), total + r / big_m
+        if min(own, total) > worst[0]:
+            worst = (min(own, total), lo, hi)
     return worst
 
 

@@ -253,6 +253,17 @@ class TestCheckEquivalence:
         assert 0.0 < rep.max_gap_dual_identity < 1e-10
         assert rep.max_gap_difference_identity < 1e-10
 
+    @pytest.mark.parametrize("delta", [3e-8, 1e-10, 3e-12])
+    def test_slope_change_at_breakpoint_passes(self, delta):
+        # the slope of phi changes by a relative delta at 1, so the x**-1
+        # constant of H(phi) - phi on (1, 2] is a rounded residue of order
+        # delta; it is small next to that piece's x atoms, not a defect
+        phi = make_piecewise([0, 1, 2, INF], [
+            [(2 + delta, 0, 0), (-1 - delta, 1, 0)], [(2, 0, 0), (-1, 1, 0)], []])
+        rep = check_equivalence(phi, 2.0)
+        assert rep.max_gap_difference_identity < 1e-14
+        assert rep.max_gap_dual_identity < 1e-14
+
     def test_fuzz_monotone_gaps(self):
         for seed in range(50):
             rep = check_equivalence(fuzz_generate(FuzzConfig(seed=seed, monotone=True)), 2.0)
@@ -356,6 +367,20 @@ class TestIdentityGap:
         assert (gap, lo, hi) == (spread * 745.0, 1.0, INF)
         # at 40 ulps the exponents are too far apart to be one group
         assert duality._identity_gap(perturbed(phi, ulps=40), phi)[0] == 1.0
+
+    def test_small_residue_judged_against_all_atoms(self):
+        # the x**-1 coefficients differ by 1e-16 absolute, a relative 5e-9 of
+        # their own size, but on (1, 2] the x atoms are at least 1e8 times
+        # larger: the gap is that residue against both, at most 1e-16 / 1
+        g = make_piecewise([0, 1, 2, INF], [[], [(1e-8, -1, 0), (0.5, 1, 0)], []])
+        h = make_piecewise([0, 1, 2, INF], [[], [(1e-8 + 1e-16, -1, 0), (0.5, 1, 0)], []])
+        gap, lo, hi = duality._identity_gap(g, h)
+        assert 0.0 < gap <= 1e-16 and (lo, hi) == (1.0, 2.0)
+        # on (0, 1] the x**-1 atom dominates near 0, so the residue counts
+        # in full against its own size
+        g0, h0 = (make_piecewise([0, 1, INF], [atoms, []]) for atoms in (
+            [(1e-8, -1, 0), (0.5, 1, 0)], [(1e-8 + 1e-16, -1, 0), (0.5, 1, 0)]))
+        assert duality._identity_gap(g0, h0)[0] == pytest.approx(1e-16 / 2e-8, rel=1e-6)
 
     @given(g=piecewise_fns(), h=piecewise_fns(),
            rel=st.sampled_from([None, 0.0, 1e-15, 1e-10]),
